@@ -11,6 +11,7 @@ and exist to cross-check the engine.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -295,8 +296,8 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
                 trace.append(TraceStep(n, x, case, tofrac(s)))
         return finish()
 
-    # Lazy heap for the removed variant (whose scores are not subtree-local)
-    # and for policies that need the full set of minimizers.
+    # Lazy heap for policies that need the full set of minimizers, with or
+    # without removal; the removed variant alone runs on the path above.
     heap: list = []
     live_key: dict = {}
 
@@ -518,104 +519,35 @@ def factorials_greedy_oracle(tree: RootedTree, n_max: int) -> FactorialSequence:
     return FactorialSequence(tuple(values), "greedy-oracle")
 
 
-# Min-max recursion, memoized across calls on canonical subtree keys.
-
-_MINMAX_TABLES: dict[str, list[Fraction]] = {}
-_MINMAX_NODES: dict[str, tuple] = {}
-_MINMAX_BOUNDS: dict[str, int | float] = {}
-
-
-def _minmax_key(tree: RootedTree, v: int) -> str:
-    if tree.is_leaf(v):
-        cap = tree.capacities[v]
-        key = f"L{'inf' if cap == INF else cap}"
-        if key not in _MINMAX_NODES:
-            _MINMAX_NODES[key] = ("leaf", cap)
-            _MINMAX_BOUNDS[key] = cap
-        return key
-    entries = sorted(
-        (tree.lengths[c], _minmax_key(tree, c)) for c in tree.children[v]
-    )
-    key = "(" + ",".join(f"{ln}:{sub}" for ln, sub in entries) + ")"
-    if key not in _MINMAX_NODES:
-        _MINMAX_NODES[key] = ("node", tuple(entries))
-        total = 1
-        d = len(entries)
-        if d >= 2:
-            total += d - 1
-        for _, sub in entries:
-            b = _MINMAX_BOUNDS[sub]
-            if b == INF:
-                total = INF
-                break
-            total += b - 1
-        _MINMAX_BOUNDS[key] = total
-    return key
-
-
-def _minmax_term(key: str, i: int) -> Fraction:
-    table = _MINMAX_TABLES.setdefault(key, [])
-    while len(table) <= i:
-        table.append(_minmax_compute(key, len(table)))
-    return table[i]
-
-
-def _minmax_compute(key: str, n: int) -> Fraction:
-    kind, data = _MINMAX_NODES[key]
-    if kind == "leaf":
-        return Fraction(0)
-    entries = data
-    if len(entries) == 1:
-        # A single direction at the root shifts the inner sequence by n
-        # times the connecting length.
-        ln, sub = entries[0]
-        return _minmax_term(sub, n) + n * ln
-    d = len(entries)
-    bounds = [_MINMAX_BOUNDS[sub] for _, sub in entries]
-    suffix_cap = [0.0] * (d + 1)
-    for j in range(d - 1, -1, -1):
-        suffix_cap[j] = suffix_cap[j + 1] + bounds[j]
-    best: Fraction | None = None
-
-    def dfs(j: int, remaining: int, current_max: Fraction | None):
-        nonlocal best
-        if remaining > suffix_cap[j]:
-            return
-        if j == d:
-            if remaining == 0 and current_max is not None:
-                if best is None or current_max < best:
-                    best = current_max
-            return
-        ln, sub = entries[j]
-        hi = remaining if bounds[j] == INF else min(int(bounds[j]), remaining)
-        for nj in range(hi + 1):
-            if nj == 0:
-                dfs(j + 1, remaining, current_max)
-                continue
-            term = _minmax_term(sub, nj - 1) + (nj - 1) * ln
-            new_max = term if current_max is None or term > current_max else current_max
-            if best is not None and new_max >= best:
-                # Terms grow with nj, so larger nj cannot help either.
-                break
-            dfs(j + 1, remaining - nj, new_max)
-
-    dfs(0, n + 1, None)
-    assert best is not None, "composition search must find at least one split"
-    return best
-
-
 def factorials_minmax(tree: RootedTree, n_max: int) -> FactorialSequence:
     """Min over compositions (n_1..n_d) of n+1 with n_j <= N_j of the max of
     subtree terms a_{n_j-1} + (n_j-1) * edge length, skipping n_j = 0.
 
-    Independent of the weighting engine; memoized on canonical subtree keys
-    shared across calls.  Raises IndexOutOfRange when n_max >= N.
+    Each child stream b_j(k) = a_k(T_j) + k * length_j is nondecreasing, so
+    the minimum over compositions of the maximum is the (n+1)-th smallest
+    element of the merged streams.  Node ids are topological, so one pass
+    from the last id to the root merges every vertex's children before the
+    vertex itself, keeping the first n_max+1 terms; a leaf contributes
+    capacity many zeros and a single child is the one-stream case.
+    Independent of the weighting engine: recursive order statistics instead
+    of incremental edge weights.  Raises IndexOutOfRange when n_max >= N.
     """
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
-    key = _minmax_key(tree, 0)
-    bound = _MINMAX_BOUNDS[key]
+    bound = capacity_bound(tree)
     if n_max >= bound:
         raise IndexOutOfRange(f"tree has N={bound} terms, requested index {n_max}")
-    values = tuple(_minmax_term(key, n) for n in range(n_max + 1))
-    return FactorialSequence(values, "minmax")
+    keep = n_max + 1
+    terms: list = [None] * len(tree)
+    for v in range(len(tree) - 1, -1, -1):
+        kids = tree.children[v]
+        if not kids:
+            terms[v] = [Fraction(0)] * min(tree.capacities[v], keep)
+            continue
+        streams = []
+        for c in kids:
+            ln = tree.lengths[c]
+            streams.append([a + k * ln for k, a in enumerate(terms[c])])
+            terms[c] = None
+        terms[v] = list(itertools.islice(heapq.merge(*streams), keep))
+    return FactorialSequence(tuple(terms[0]), "minmax")

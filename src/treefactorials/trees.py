@@ -306,14 +306,16 @@ def canonical_skeleton(tree: RootedTree) -> RootedTree:
 def canonical_form(tree: RootedTree) -> str:
     """Order-independent encoding; equal strings mean isomorphic rooted
     metric trees (same lengths and capacities up to child permutation)."""
-
-    def encode(v: int) -> str:
-        if tree.is_leaf(v):
+    # Ids are topological, so every child is encoded before its parent.
+    codes: list = [None] * len(tree)
+    for v in range(len(tree) - 1, -1, -1):
+        kids = tree.children[v]
+        if not kids:
             cap = tree.capacities[v]
-            return f"L{'inf' if cap == INF else cap}"
-        parts = sorted(
-            (tree.lengths[c], encode(c)) for c in tree.children[v]
-        )
-        return "(" + ",".join(f"{format_length(ln)}:{sub}" for ln, sub in parts) + ")"
-
-    return encode(0)
+            codes[v] = f"L{'inf' if cap == INF else cap}"
+            continue
+        parts = sorted((tree.lengths[c], codes[c]) for c in kids)
+        for c in kids:
+            codes[c] = None
+        codes[v] = "(" + ",".join(f"{format_length(ln)}:{sub}" for ln, sub in parts) + ")"
+    return codes[0]

@@ -7,6 +7,7 @@ linear solve.  They are deliberately slow and simple; keep inputs tiny.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -183,6 +184,39 @@ def removed_greedy(tree, t: int, n_max: int) -> list[Fraction]:
         values.append(best)
         counts[best_i] += 1
     return values
+
+
+def minmax_by_compositions(tree, n_max: int) -> list[Fraction]:
+    """The min-max recursion read literally: a_n of the subtree at v is the
+    minimum, over every composition (n_1..n_d) of n+1 into the children with
+    n_j <= N_j, of the largest a_{n_j-1}(T_j) + (n_j-1) * length_j among the
+    parts with n_j >= 1; a leaf has capacity many zero terms.  Enumerates
+    all compositions; keep trees and n_max tiny."""
+
+    def count(v):
+        kids = tree.children[v]
+        return tree.capacities[v] if not kids else sum(count(c) for c in kids)
+
+    @functools.cache
+    def term(v: int, n: int) -> Fraction:
+        kids = tree.children[v]
+        if not kids:
+            return Fraction(0)
+        ranges = [range(min(count(c), n + 1) + 1) for c in kids]
+        best = None
+        for parts in itertools.product(*ranges):
+            if sum(parts) != n + 1:
+                continue
+            worst = max(
+                term(c, k - 1) + (k - 1) * tree.lengths[c]
+                for c, k in zip(kids, parts)
+                if k
+            )
+            if best is None or worst < best:
+                best = worst
+        return best
+
+    return [term(0, n) for n in range(n_max + 1)]
 
 
 def vandermonde_factorials(elements, n_max: int) -> list[int]:

@@ -91,6 +91,13 @@ class TestOracleCheck:
         assert code == 0
         assert "OK" in out
 
+    def test_deep_path_ok(self, tmp_path):
+        # Deeper than the interpreter's recursion limit.
+        path = tmp_path / "deep.tree"
+        path.write_text(serialize_tree(helpers.path_tree([1] * 3000, cap=2)))
+        code, out, err = run_cli("oracle-check", "--tree", str(path), "--n", "1")
+        assert (code, out, err) == (0, "OK: weighting == greedy == minmax\n", "")
+
 
 class TestAdelic:
     def test_initial_segment(self):

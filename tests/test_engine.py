@@ -69,6 +69,11 @@ class TestKnownSequences:
         assert factorials_minmax(helpers.binary_tree(2), 4).values[4] == 3
         assert factorials_minmax(helpers.star([1, 2, 3], [1, 1, 1]), 0).values == (0,)
 
+    def test_minmax_deep_path(self):
+        # Deeper than the interpreter's recursion limit.
+        t = helpers.path_tree([1] * 3000, cap=2)
+        assert factorials_minmax(t, 1).values == (0, 3000)
+
     def test_minmax_out_of_range(self):
         t = helpers.star([1, 2, 3], [1, 1, 1])
         with pytest.raises(IndexOutOfRange):
@@ -122,6 +127,13 @@ class TestOracleEquivalence:
         g = factorials_greedy_oracle(t, n_max).values
         m = factorials_minmax(t, n_max).values
         assert w == g == m
+
+    @settings(max_examples=60, deadline=None)
+    @given(helpers.small_trees(max_edges=4))
+    def test_minmax_matches_composition_search(self, t):
+        bound = capacity_bound(t)
+        n_max = 8 if bound is INF else min(int(bound) - 1, 8)
+        assert factorials_minmax(t, n_max).values == tuple(oracles.minmax_by_compositions(t, n_max))
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
     @given(helpers.small_trees(max_edges=4))

@@ -187,6 +187,11 @@ class TestCanonicalSkeleton:
         assert canonical_form(helpers.single_edge(1, 1)) != canonical_form(helpers.single_edge(2, 1))
         assert canonical_form(helpers.single_edge(1, 1)) != canonical_form(helpers.single_edge(1, 2))
 
+    def test_canonical_form_deep_path(self):
+        # Deeper than the interpreter's recursion limit.
+        t = helpers.path_tree([1] * 3000, cap=2)
+        assert canonical_form(t) == "(1:" * 3000 + "L2" + ")" * 3000
+
 
 def test_parse_length_formats():
     assert parse_length("3/2") == Fraction(3, 2)
