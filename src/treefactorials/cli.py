@@ -281,7 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--n", type=int, required=True, help="last index to emit")
     p.add_argument("--t", type=int, default=0, help="pairings to discount (default 0)")
-    p.add_argument("--seed", type=int, help="random tie-breaking with this seed")
+    p.add_argument(
+        "--seed",
+        type=int,
+        help="break ties between equal-valued vertices at random, reproducibly from this seed "
+        "(changes --trace, never the values)",
+    )
     p.add_argument("--csv", action="store_true", help="CSV output")
     p.add_argument("--trace", action="store_true", help="emit per-step trace lines")
     p.set_defaults(func=_cmd_factorials)
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equidist", help="edge frequencies of a run vs the harmonic flow")
     _add_source_args(p, need_depth=True)
     p.add_argument("--n", type=int, required=True, help="weighting steps")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="break ties between equal-valued vertices at random from this seed")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_equidist)
 

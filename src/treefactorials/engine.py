@@ -36,43 +36,30 @@ __all__ = [
 
 
 class Canonical:
-    """Deterministic tie-break: smallest node id wins.
+    """Deterministic tie-break: smallest node id wins."""
 
-    Does not need the full set of minimizers (needs_tie_set False): a heap
-    ordered by (score, id) surfaces exactly this choice, which keeps large
-    symmetric trees out of quadratic tie-set scans.
-    """
-
-    needs_tie_set = False
-
-    def pick(self, candidates):
-        return min(candidates)
-
-    def pick_pending(self, pendings):
-        return min(pendings)
-
-    def pick_two(self, pendings):
-        a, b = sorted(pendings)[:2]
-        return a, b
+    def key(self, v: int):
+        return v
 
 
 class SeededRandom:
-    """Reproducible uniform tie-break driven by one seeded stream."""
+    """Reproducible uniform tie-break driven by one seeded stream.
 
-    needs_tie_set = True
+    Each vertex draws one uniform key from random.Random(seed) the first time
+    a run asks for it and keeps it, so every set of tied minimizers resolves
+    uniformly at random; two vertices that tie more than once are ordered the
+    same way each time.
+    """
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
+        self._keys: dict[int, tuple[float, int]] = {}
 
-    def pick(self, candidates):
-        return self.rng.choice(sorted(candidates))
-
-    def pick_pending(self, pendings):
-        return self.rng.choice(sorted(pendings))
-
-    def pick_two(self, pendings):
-        a, b = self.rng.sample(sorted(pendings), 2)
-        return (a, b) if a < b else (b, a)
+    def key(self, v: int):
+        k = self._keys.get(v)
+        if k is None:
+            k = self._keys[v] = (self.rng.random(), v)
+        return k
 
 
 class OrderedTieBreak:
@@ -82,23 +69,11 @@ class OrderedTieBreak:
     the weighting visits equal-valued vertices in the prescribed order.
     """
 
-    needs_tie_set = True
-
     def __init__(self, rank: dict[int, int]):
         self.rank = rank
 
-    def _key(self, v: int):
+    def key(self, v: int):
         return (self.rank.get(v, v), v)
-
-    def pick(self, candidates):
-        return min(candidates, key=self._key)
-
-    def pick_pending(self, pendings):
-        return min(pendings, key=self._key)
-
-    def pick_two(self, pendings):
-        a, b = sorted(pendings, key=self._key)[:2]
-        return a, b
 
 
 @dataclass(frozen=True)
@@ -212,213 +187,88 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
             weights[v] += 1
             v = parent(v)
 
-    if not policy.needs_tie_set:
-        # Hierarchical argmin.  best[v] is the least (score, id) pair over
-        # unsaturated vertices in v's weighted subtree, score relative to v,
-        # or None when that subtree has none.  A step changes weights only
-        # along the selection path and the freshly weighted chains, so
-        # recomputing the entries bottom-up along those paths keeps every
-        # other subtree summary valid; lexicographic propagation makes the
-        # root entry the smallest id among minimal scores, the same choice
-        # the canonical policy would make from the full tie set.
-        #
-        # The per-edge term max(weight - t, 0) * length is the full removed
-        # score: dropping the t largest pairing terms subtracts, level by
-        # level, min(t, weight) copies of each edge length (the pairing
-        # multiset has weight-difference many copies of each prefix length,
-        # and the two sums telescope against each other).
-        best: dict[int, tuple | None] = {}
+    # Hierarchical argmin.  best[v] is the least (score, key, id) triple over
+    # unsaturated vertices in v's weighted subtree, score relative to v, or
+    # None when that subtree has none; key is the policy's key(id), unique per
+    # vertex.  A step changes weights only along the selection path and the
+    # freshly weighted chains, so recomputing the entries bottom-up along
+    # those paths keeps every other subtree summary valid; lexicographic
+    # propagation makes the root entry the smallest key among minimal scores,
+    # the choice the policy would make from the full tie set.
+    #
+    # The per-edge term max(weight - t, 0) * length is the full removed
+    # score: dropping the t largest pairing terms subtracts, level by level,
+    # min(t, weight) copies of each edge length (the pairing multiset has
+    # weight-difference many copies of each prefix length, and the two sums
+    # telescope against each other).
+    key = policy.key
+    best: dict[int, tuple | None] = {}
 
-        def recompute(v: int):
-            kids = children(v)
-            if kids:
-                b = (zero, v) if any(c not in weights for c in kids) else None
-            else:
-                b = (zero, v) if weights[v] < view.capacity(v) else None
-            for c in kids:
-                w = weights.get(c)
-                if w is None:
-                    continue
-                bc = best[c]
-                if bc is None:
-                    continue
-                cand = ((w - t) * elen(c) + bc[0], bc[1]) if w > t else bc
-                if b is None or cand < b:
-                    b = cand
-            best[v] = b
-
-        for u in reversed(weight_strict_path(0, policy.pick_pending(root_kids))):
-            recompute(u)
-        recompute(0)
-
-        for n in range(1, n_max + 1):
-            b0 = best[0]
-            if b0 is None:
-                break  # no unsaturated vertices remain: the sequence is complete
-            s, x = b0
-            values.append(s)
-            # Recover the root-to-x path by following the recorded argmin ids.
-            path = [0]
-            u = 0
-            while u != x:
-                for c in children(u):
-                    bc = best.get(c)
-                    if bc is not None and bc[1] == x:
-                        u = c
-                        break
-                else:
-                    raise StructureError("selection walk lost its argmin")
-                path.append(u)
-
-            kids = children(x)
-            if not kids:
-                case = "2.2"
-                increment_path(x)
-            else:
-                pendings = [c for c in kids if c not in weights]
-                if len(pendings) < len(kids):
-                    case = "1"
-                    y = policy.pick_pending(pendings)
-                    increment_path(x)
-                    for u in reversed(weight_strict_path(x, y)):
-                        recompute(u)
-                else:
-                    case = "2.1"
-                    z, w = policy.pick_two(pendings)
-                    increment_path(x)
-                    for u in reversed(weight_strict_path(x, z)):
-                        recompute(u)
-                    for u in reversed(weight_strict_path(x, w)):
-                        recompute(u)
-            for u in reversed(path):
-                recompute(u)
-            if record_trace:
-                trace.append(TraceStep(n, x, case, tofrac(s)))
-        return finish()
-
-    # Lazy heap for policies that need the full set of minimizers, with or
-    # without removal; the removed variant alone runs on the path above.
-    heap: list = []
-    live_key: dict = {}
-
-    def push(v: int, key):
-        live_key[v] = key
-        heapq.heappush(heap, (key, v))
-
-    def score(v: int):
-        """Weighted distance to the root, minus the t largest pairing terms.
-
-        The pairing multiset of a boundary element leaving the weighted tree
-        at v has, level by level from v upward, weight-difference many copies
-        of the plain prefix length; dropping its t largest elements removes
-        min(t, weight) copies of each edge length, so the whole score
-        telescopes to a per-edge sum of max(weight - t, 0) * length.
-        """
-        dist = zero
-        u = v
-        while u != 0:
-            w = weights[u]
-            if w > t:
-                dist += (w - t) * elen(u)
-            u = parent(u)
-        return dist
-
-    def push_if_unsaturated(v: int):
+    def recompute(v: int):
         kids = children(v)
         if kids:
-            if any(c not in weights for c in kids):
-                push(v, score(v))
+            b = (zero, key(v), v) if any(c not in weights for c in kids) else None
         else:
-            cap = view.capacity(v)
-            if weights[v] < cap:
-                push(v, score(v))
+            b = (zero, key(v), v) if weights[v] < view.capacity(v) else None
+        for c in kids:
+            w = weights.get(c)
+            if w is None:
+                continue
+            bc = best[c]
+            if bc is None:
+                continue
+            cand = ((w - t) * elen(c) + bc[0], bc[1], bc[2]) if w > t else bc
+            if b is None or cand < b:
+                b = cand
+        best[v] = b
 
-    first = policy.pick_pending(root_kids)
-    end = weight_strict_path(0, first)[-1]
-    push_if_unsaturated(0)
-    push_if_unsaturated(end)
-
-    need_ties = policy.needs_tie_set
+    for u in reversed(weight_strict_path(0, min(root_kids, key=key))):
+        recompute(u)
+    recompute(0)
 
     for n in range(1, n_max + 1):
-        # Keys never overstate the live score (scores only grow), so a
-        # popped entry whose recomputed score equals its key is a true
-        # minimizer, and entries with larger keys cannot beat it.
-        best = None
-        x = None
-        if need_ties:
-            # Drain every key at or below the best recomputed score so the
-            # policy sees the complete set of minimizers.
-            buffered: list[tuple[int, object]] = []
-            while heap:
-                key, v = heap[0]
-                if live_key.get(v) != key:
-                    heapq.heappop(heap)
-                    continue
-                if best is not None and key > best:
-                    break
-                heapq.heappop(heap)
-                del live_key[v]
-                s = score(v)
-                buffered.append((v, s))
-                if best is None or s < best:
-                    best = s
-            if best is not None:
-                candidates = [v for v, s in buffered if s == best]
-                for v, s in buffered:
-                    if s > best:
-                        push(v, s)
-                x = candidates[0] if len(candidates) == 1 else policy.pick(candidates)
-                for v in candidates:
-                    if v != x:
-                        push(v, best)
-        else:
-            # First settled pop; the (key, id) heap order makes it the
-            # smallest id among minimal scores, stale entries refresh in
-            # place without touching true ties.
-            while heap:
-                key, v = heap[0]
-                if live_key.get(v) != key:
-                    heapq.heappop(heap)
-                    continue
-                heapq.heappop(heap)
-                del live_key[v]
-                s = score(v)
-                if s == key:
-                    best, x = s, v
-                    break
-                push(v, s)
-        if best is None:
+        b0 = best[0]
+        if b0 is None:
             break  # no unsaturated vertices remain: the sequence is complete
-        values.append(best)
+        s, _, x = b0
+        values.append(s)
+        # Recover the root-to-x path by following the recorded argmin ids.
+        path = [0]
+        u = 0
+        while u != x:
+            for c in children(u):
+                bc = best.get(c)
+                if bc is not None and bc[2] == x:
+                    u = c
+                    break
+            else:
+                raise StructureError("selection walk lost its argmin")
+            path.append(u)
 
         kids = children(x)
         if not kids:
             case = "2.2"
             increment_path(x)
-            push_if_unsaturated(x)
         else:
             pendings = [c for c in kids if c not in weights]
             if len(pendings) < len(kids):
                 case = "1"
-                y = policy.pick_pending(pendings)
+                y = min(pendings, key=key)
                 increment_path(x)
-                end = weight_strict_path(x, y)[-1]
-                push_if_unsaturated(end)
-                if len(pendings) > 1:
-                    push(x, score(x))
+                for u in reversed(weight_strict_path(x, y)):
+                    recompute(u)
             else:
                 case = "2.1"
-                z, w = policy.pick_two(pendings)
+                z, w = sorted(pendings, key=key)[:2]
                 increment_path(x)
-                end1 = weight_strict_path(x, z)[-1]
-                end2 = weight_strict_path(x, w)[-1]
-                push_if_unsaturated(end1)
-                push_if_unsaturated(end2)
-                if len(pendings) > 2:
-                    push(x, score(x))
+                for u in reversed(weight_strict_path(x, z)):
+                    recompute(u)
+                for u in reversed(weight_strict_path(x, w)):
+                    recompute(u)
+        for u in reversed(path):
+            recompute(u)
         if record_trace:
-            trace.append(TraceStep(n, x, case, tofrac(best)))
+            trace.append(TraceStep(n, x, case, tofrac(s)))
     return finish()
 
 
@@ -496,26 +346,22 @@ def factorials_greedy_oracle(tree: RootedTree, n_max: int) -> FactorialSequence:
                     break
                 common += tree.lengths[a]
             pair[i][j] = pair[j][i] = common
+    # scores[i] is element i's total pairing against everything selected so
+    # far; selecting j adds row j of the symmetric pairing matrix.
     counts = [0] * L
+    scores = [Fraction(0)] * L
     values: list[Fraction] = []
     for n in range(n_max + 1):
         best: Fraction | None = None
         best_i = -1
         for i in range(L):
-            if counts[i] >= caps[i]:
-                continue
-            s = Fraction(0)
-            row = pair[i]
-            for j in range(L):
-                c = counts[j]
-                if c:
-                    s += c * row[j]
-            if best is None or s < best:
-                best, best_i = s, i
+            if counts[i] < caps[i] and (best is None or scores[i] < best):
+                best, best_i = scores[i], i
         if best is None:
             raise Exhausted(f"all boundary elements at capacity after {n} terms")
         values.append(best)
         counts[best_i] += 1
+        scores = [s + p for s, p in zip(scores, pair[best_i])]
     return FactorialSequence(tuple(values), "greedy-oracle")
 
 

@@ -26,33 +26,41 @@ class FactorialSequence:
         return tuple(float(v) for v in self.values)
 
 
+def _scaled_int64(values):
+    """The values over their common denominator as an int64 array, or None
+    when numpy is missing or the sum of two values could overflow int64."""
+    try:
+        import numpy as np
+    except ImportError:
+        return None
+    den = lcm(*(v.denominator for v in values))
+    scaled = [int(v * den) for v in values]
+    if max(abs(x) for x in scaled) >= 2**62:
+        return None
+    return np.array(scaled, dtype=np.int64)
+
+
 def superadditivity_gap(values) -> tuple[int, int] | None:
     """First (m, n) with a_{m+n} < a_m + a_n, or None if superadditive.
 
-    Checks every pair.  Long sequences are scaled to a common denominator and
-    checked as machine integers (exact as long as values stay below 2**63,
-    which a guard verifies).
+    Checks every pair.  Long sequences are checked as machine integers over a
+    common denominator when numpy is installed and every value stays below
+    2**62 in magnitude, so no pairwise sum wraps; otherwise by exact loop.
     """
     K = len(values)
-    if K <= 1500:
+    arr = _scaled_int64(values) if K > 1500 else None
+    if arr is None:
         for m in range(1, K):
             am = values[m]
             for n in range(m, K - m):
                 if values[m + n] < am + values[n]:
                     return (m, n)
         return None
-    import numpy as np
-
-    den = lcm(*(v.denominator for v in values))
-    scaled = [int(v * den) for v in values]
-    if max(scaled, default=0) > 2**62:
-        raise OverflowError("sequence values too large for the fast path")
-    arr = np.array(scaled, dtype=np.int64)
     for m in range(1, K):
         rest = arr[2 * m : K]  # noqa: E203
         if rest.size == 0:
             break
-        bad = np.nonzero(rest < arr[m] + arr[m : K - m])[0]  # noqa: E203
+        bad = (rest < arr[m] + arr[m : K - m]).nonzero()[0]  # noqa: E203
         if bad.size:
             n = m + int(bad[0])
             return (m, n)

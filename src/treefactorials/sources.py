@@ -35,6 +35,11 @@ __all__ = [
 DEFAULT_BUDGET = 10**6
 
 
+def _denominator_lcm(lengths) -> int:
+    """Least common multiple of the denominators of `lengths` (1 when empty)."""
+    return math.lcm(*(x.denominator for x in lengths))
+
+
 class TreeSource:
     """Rule producing a rooted metric tree level by level.
 
@@ -75,10 +80,7 @@ class ExplicitSource(TreeSource):
         return self.tree.capacities[state]
 
     def length_scale(self):
-        scale = 1
-        for x in self.tree.lengths[1:]:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        return scale
+        return _denominator_lcm(self.tree.lengths[1:])
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,7 @@ class SphericalSource(TreeSource):
         return 1 if self._b(depth) == 0 else None
 
     def length_scale(self):
-        scale = 1
-        for x in self.lengths:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        return scale
+        return _denominator_lcm(self.lengths)
 
 
 @dataclass(frozen=True)
@@ -292,10 +291,7 @@ class ExplicitView:
         return self.tree.addresses[v]
 
     def length_scale(self) -> int | None:
-        scale = 1
-        for x in self.tree.lengths[1:]:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        return scale
+        return _denominator_lcm(self.tree.lengths[1:])
 
 
 class LazyView:

@@ -142,12 +142,11 @@ class RootedTree:
         for v in range(1, n):
             lens[v] = Fraction(lengths[v])
         caps: list[Capacity | None] = [None] * n
-        has_child = [False] * n
-        for v in range(1, n):
-            has_child[parents[v]] = True
+        # A set, not an index, so a bad parent id reaches __post_init__.
+        internal = set(parents[1:])
         given = dict(capacities or {})
         for v in range(n):
-            if not has_child[v]:
+            if v not in internal:
                 caps[v] = given.pop(v, 1)
         if given:
             raise StructureError(f"capacity given for internal vertices: {sorted(given)}")
@@ -241,19 +240,7 @@ def parse_tree_file(text: str) -> RootedTree:
         lengths.append(length)
     if not parents:
         raise ParseError("empty tree file", None)
-    n = len(parents)
-    has_child = [False] * n
-    for v in range(1, n):
-        if not 0 <= parents[v] < v:
-            raise StructureError(f"node {v}: parent {parents[v]} is not an earlier node")
-        has_child[parents[v]] = True
-    caps: list[Capacity | None] = [None] * n
-    for v in range(n):
-        if not has_child[v]:
-            caps[v] = caps_given.pop(v, 1)
-    if caps_given:
-        raise StructureError(f"capacity given for internal vertices: {sorted(caps_given)}")
-    return RootedTree(tuple(parents), tuple(lengths), tuple(caps))
+    return RootedTree.build(parents, lengths, caps_given)
 
 
 def serialize_tree(tree: RootedTree) -> str:

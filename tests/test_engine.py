@@ -1,6 +1,7 @@
 """The weighting process and its two independent reference procedures."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,10 @@ class TestOracleEquivalence:
         a = factorials_weighting(ExplicitSource(t), 20, SeededRandom(9), record_trace=True)
         b = factorials_weighting(ExplicitSource(t), 20, SeededRandom(9), record_trace=True)
         assert a.trace == b.trace
+        # a key that ignored the seed would give every seed the same trace
+        c = factorials_weighting(ExplicitSource(t), 20, SeededRandom(10), record_trace=True)
+        assert c.sequence.values == a.sequence.values
+        assert c.trace != a.trace
 
 
 class TestSequenceProperties:
@@ -346,6 +351,16 @@ class TestRemovedVariant:
 
 
 class TestTieBreakPolicies:
+    def test_seeded_binary_tree_is_fast(self):
+        # Nearly every step of a regular tree is a tie; a selection that
+        # scans the whole tie set is quadratic and takes seconds at this size.
+        n = 2**12
+        start = time.perf_counter()
+        vals = factorials_weighting(RegularSource(2), n, SeededRandom(5)).sequence.values
+        assert time.perf_counter() - start < 5
+        # Legendre: v_2(k!) = k - (binary digit sum of k)
+        assert list(vals) == [k - bin(k).count("1") for k in range(n + 1)]
+
     def test_ordered_tie_break_follows_rank(self):
         t = helpers.star([1, 1, 1], [INF, INF, INF])
         fwd = factorials_weighting(ExplicitSource(t), 6, OrderedTieBreak({1: 0, 2: 1, 3: 2}), record_trace=True)

@@ -1,5 +1,6 @@
 """Sequence containers, the superadditivity check, and limit estimation."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,19 @@ class TestSuperadditivity:
         bad = list(vals)
         bad[3999] = F(1000)
         assert superadditivity_gap(bad) is not None
+
+    def test_long_sequence_near_int64_limit(self):
+        # a_2 = 2**62 < a_1 + a_1 = 2**63, a sum that int64 cannot hold
+        vals = [F(0)] + [F(2**62)] * 1600
+        assert superadditivity_gap(vals) == (1, 1)
+
+    def test_long_sequence_without_numpy(self, monkeypatch):
+        vals = [n // 2 for n in range(1600)]
+        bad = vals[:-1] + [0]
+        assert superadditivity_gap(bad) == (1, 1598)
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert superadditivity_gap(vals) is None
+        assert superadditivity_gap(bad) == (1, 1598)
 
     def test_long_sequence_fractional(self):
         vals = [F(n, 3) for n in range(2000)]

@@ -42,6 +42,9 @@ class TestConstruction:
     def test_parent_must_precede_child(self):
         with pytest.raises(StructureError):
             RootedTree.build((-1, 2, 0), (0, 1, 1), None)
+        # a parent id past the last node
+        with pytest.raises(StructureError):
+            RootedTree.build([-1, 7], [0, 1])
 
     def test_nonpositive_length_rejected(self):
         with pytest.raises(StructureError):
@@ -122,6 +125,10 @@ class TestFileFormat:
     def test_empty_file_rejected(self):
         with pytest.raises(ParseError):
             parse_tree_file("# nothing here\n")
+
+    def test_parent_past_the_node_rejected(self):
+        with pytest.raises(StructureError):
+            parse_tree_file("node 0 parent=-\nnode 1 parent=5 length=1\n")
 
     def test_capacity_on_internal_vertex_rejected(self):
         text = (
