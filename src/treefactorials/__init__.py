@@ -33,7 +33,6 @@ from .errors import (
     TreeFactorialError,
 )
 from .adelic import (
-    adelic_tree,
     bhargava_factorials,
     factorials_prime,
     greedy_bhargava_oracle,
@@ -44,14 +43,12 @@ from .flow import (
     BranchingReport,
     EquidistributionReport,
     FlowAssignment,
-    HarmonicProfile,
     ResistanceResult,
     WalkResult,
     branching_number_estimate,
     effective_resistance,
     equidistribution_check,
     exact_escape_probability,
-    harmonic_profile,
     laplacian_voltage_gap,
     random_walk_escape,
     unit_current_flow,
@@ -110,7 +107,6 @@ __all__ = [
     "capacity_bound",
     "legendre",
     "separating_depth",
-    "adelic_tree",
     "factorials_prime",
     "bhargava_factorials",
     "greedy_bhargava_oracle",
@@ -119,8 +115,6 @@ __all__ = [
     "laplacian_voltage_gap",
     "FlowAssignment",
     "unit_current_flow",
-    "HarmonicProfile",
-    "harmonic_profile",
     "EquidistributionReport",
     "equidistribution_check",
     "WalkResult",

@@ -9,18 +9,14 @@ difference.  Everything here is integer-exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .engine import Canonical, factorials_weighting
 from .errors import IndexOutOfRange, StructureError
 from .sequences import FactorialSequence
 from .sources import AdelicSetSource, _is_prime
-from .trees import INF, RootedTree
 
 __all__ = [
     "legendre",
     "separating_depth",
-    "adelic_tree",
     "factorials_prime",
     "bhargava_factorials",
     "greedy_bhargava_oracle",
@@ -73,46 +69,6 @@ def separating_depth(elements, p: int) -> int:
         for j in range(i + 1, len(elems)):
             best = max(best, _val(p, elems[j] - elems[i]))
     return best + 1 if len(elems) > 1 else 1
-
-
-def adelic_tree(elements, p: int, depth: int) -> RootedTree:
-    """Residue tree of the set mod p**k for k <= depth, unit lengths.
-
-    A depth-`depth` leaf v has capacity |{s in S : s = v mod p**depth}|; a
-    residue class that is already a single element at some depth >= 1 is cut
-    there as a capacity-1 leaf (the bare path below it never pairs with any
-    other boundary element, so no factorial term changes).
-    """
-    elems = _check_set(elements)
-    if not _is_prime(p):
-        raise StructureError(f"{p} is not prime")
-    if depth < 1:
-        raise StructureError("depth must be >= 1")
-    parents: list[int] = [-1]
-    lengths: list[Fraction | None] = [None]
-    caps: list[int | None] = [None]
-    one = Fraction(1)
-    queue: list[tuple[int, tuple[int, ...], int]] = [(0, elems, 0)]
-    head = 0
-    while head < len(queue):
-        v, members, k = queue[head]
-        head += 1
-        if k == depth:
-            caps[v] = len(members)
-            continue
-        if len(members) == 1 and k >= 1:
-            caps[v] = 1
-            continue
-        mod = p ** (k + 1)
-        groups: dict[int, list[int]] = {}
-        for s in members:
-            groups.setdefault(s % mod, []).append(s)
-        for r in sorted(groups):
-            parents.append(v)
-            lengths.append(one)
-            caps.append(None)
-            queue.append((len(parents) - 1, tuple(groups[r]), k + 1))
-    return RootedTree(tuple(parents), tuple(lengths), tuple(caps))
 
 
 def factorials_prime(elements, p: int, n_max: int) -> FactorialSequence:

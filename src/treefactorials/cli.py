@@ -299,7 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adelic", help="generalized factorials of an integer set")
     p.add_argument("--set", required=True, metavar="A,B,...", help="comma-separated integers")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, help="report only the p-part at this prime")
+    p.add_argument(
+        "--p",
+        type=int,
+        help="report only the p-part at this prime (primality is proven below 3.3e24; "
+        "a larger p is a domain error)",
+    )
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_adelic)
 

@@ -4,9 +4,9 @@ A tree becomes a resistor network by reading each edge length as a
 resistance.  Leaves of infinite capacity are grounded (they stand for
 infinite continuations); leaves of finite capacity are left open, no current
 exits there.  On that network this module computes exact effective
-resistances, unit current flows, harmonic vertex profiles, escape
-probabilities of the associated random walk, and bracketing intervals for
-the branching number of a generated tree.
+resistances, unit current flows, escape probabilities of the associated
+random walk, and bracketing intervals for the branching number of a
+generated tree.
 
 All network quantities are exact rationals; floats appear only in Monte
 Carlo estimates and in the final bisection report.
@@ -15,6 +15,7 @@ Carlo estimates and in the final bisection report.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,8 +30,6 @@ __all__ = [
     "laplacian_voltage_gap",
     "FlowAssignment",
     "unit_current_flow",
-    "HarmonicProfile",
-    "harmonic_profile",
     "EquidistributionReport",
     "equidistribution_check",
     "WalkResult",
@@ -45,20 +44,18 @@ def _as_source(source: TreeSource | RootedTree) -> TreeSource:
     return ExplicitSource(source) if isinstance(source, RootedTree) else source
 
 
-def _truncate(source: TreeSource | RootedTree, depth: int) -> RootedTree:
-    if depth < 1:
-        raise StructureError("depth must be >= 1")
-    return expand(_as_source(source), depth)
+def _subtree_resistances(tree: RootedTree, h: int) -> list[Fraction | None]:
+    """R[v] = resistance from v down to the grounded leaves of its subtree in
+    the depth-h truncation of `tree`, None where that subtree has no grounded
+    leaf (open, infinite R).
 
-
-def _subtree_resistances(tree: RootedTree) -> list[Fraction | None]:
-    """R[v] = resistance from v down to the grounded leaves of its subtree,
-    None where the subtree has no grounded leaf (open, infinite R).
-
-    Children have larger ids than parents, so one reverse sweep is a
-    post-order traversal.
+    `tree` is an expansion at depth >= h.  Its ids are breadth first, so the
+    truncation is an id prefix, and a depth-h vertex with children is cut
+    there (grounded, like an inf leaf of `expand(source, h)`).  Children have
+    larger ids than parents, so one reverse sweep is a post-order traversal.
     """
-    n = len(tree.parents)
+    depths = tree.depths
+    n = bisect_right(depths, h)
     children = tree.children
     caps = tree.capacities
     lengths = tree.lengths
@@ -68,6 +65,9 @@ def _subtree_resistances(tree: RootedTree) -> list[Fraction | None]:
         if not kids:
             r[v] = Fraction(0) if caps[v] == INF else None
             continue
+        if depths[v] == h:
+            r[v] = Fraction(0)
+            continue
         g = Fraction(0)
         for c in kids:
             rc = r[c]
@@ -76,6 +76,22 @@ def _subtree_resistances(tree: RootedTree) -> list[Fraction | None]:
             g += 1 / (lengths[c] + rc)
         r[v] = 1 / g if g else None
     return r
+
+
+def _network(source: TreeSource | RootedTree, depth: int) -> tuple[RootedTree, list[Fraction | None]]:
+    """The depth-truncation and its subtree resistances; raises
+    AllOpenCircuit when no leaf is grounded."""
+    if depth < 1:
+        raise StructureError("depth must be >= 1")
+    tree = expand(_as_source(source), depth)
+    r = _subtree_resistances(tree, depth)
+    if r[0] is None:
+        # A cut vertex is grounded, so an open truncation cuts none: the
+        # tree ends at its deepest level D <= depth, every truncation above
+        # D cuts a vertex, and the first open one is at D.
+        opened = max(tree.depths[-1], 1)
+        raise AllOpenCircuit(f"no infinite-capacity leaf at truncation depth {opened}")
+    return tree, r
 
 
 @dataclass(frozen=True)
@@ -94,14 +110,13 @@ class ResistanceResult:
 def effective_resistance(source: TreeSource | RootedTree, depth: int) -> ResistanceResult:
     """Exact resistance between the root and the grounded boundary of the
     depth-truncation.  Raises AllOpenCircuit when no leaf is grounded."""
-    src = _as_source(source)
-    per_depth: list[Fraction] = []
-    for h in range(1, depth + 1):
-        r = _subtree_resistances(expand(src, h))[0]
-        if r is None:
-            raise AllOpenCircuit(f"no infinite-capacity leaf at truncation depth {h}")
-        per_depth.append(r)
-    return ResistanceResult(per_depth[-1], depth, tuple(per_depth))
+    tree, r = _network(source, depth)
+    # Shallower truncations of a grounded one are grounded too, and past
+    # the deepest vertex every truncation is the whole tree.
+    last = min(depth, max(tree.depths[-1], 1))
+    per_depth = [_subtree_resistances(tree, h)[0] for h in range(1, last)]
+    per_depth += [r[0]] * (depth - last + 1)
+    return ResistanceResult(r[0], depth, tuple(per_depth))
 
 
 def laplacian_voltage_gap(tree: RootedTree) -> Fraction:
@@ -190,10 +205,7 @@ class FlowAssignment:
 def unit_current_flow(source: TreeSource | RootedTree, depth: int) -> FlowAssignment:
     """Current divider on the depth-truncation: a vertex's inflow splits
     among its children proportionally to 1/(length + subtree resistance)."""
-    tree = _truncate(source, depth)
-    r = _subtree_resistances(tree)
-    if r[0] is None:
-        raise AllOpenCircuit("no infinite-capacity leaf to carry the flow")
+    tree, r = _network(source, depth)
     flows: dict[int, Fraction] = {}
     inflow: dict[int, Fraction] = {0: Fraction(1)}
     energy = Fraction(0)
@@ -208,40 +220,6 @@ def unit_current_flow(source: TreeSource | RootedTree, depth: int) -> FlowAssign
             inflow[c] = fc
             energy += tree.lengths[c] * fc * fc
     return FlowAssignment(tree, flows, energy)
-
-
-@dataclass(frozen=True)
-class HarmonicProfile:
-    """Subtree resistances as a vertex profile, with the per-edge limit
-    measure they induce.
-
-    values[v] is the resistance of the subtree at v, 0 when that subtree has
-    no grounded leaf.  edge_limits[v] is the product over the root path of
-    parent_value / (value + edge length); it coincides with the unit current
-    flow on the same truncation.
-    """
-
-    tree: RootedTree
-    values: dict[int, Fraction]
-    edge_limits: dict[int, Fraction]
-
-
-def harmonic_profile(source: TreeSource | RootedTree, depth: int) -> HarmonicProfile:
-    tree = _truncate(source, depth)
-    r = _subtree_resistances(tree)
-    if r[0] is None:
-        raise AllOpenCircuit("no infinite-capacity leaf below the root")
-    values = {v: (Fraction(0) if rv is None else rv) for v, rv in enumerate(r)}
-    limits: dict[int, Fraction] = {}
-    for v in range(1, len(tree.parents)):
-        u = tree.parents[v]
-        parent_limit = limits.get(u, Fraction(1))
-        if r[v] is None:
-            # open subtree: profile value 0 by convention, no mass flows in
-            limits[v] = Fraction(0)
-        else:
-            limits[v] = parent_limit * values[u] / (values[v] + tree.lengths[v])
-    return HarmonicProfile(tree, values, limits)
 
 
 @dataclass(frozen=True)
@@ -301,10 +279,7 @@ def exact_escape_probability(source: TreeSource | RootedTree, depth: int) -> Fra
     """Probability that the conductance-biased walk from the root hits the
     grounded boundary before returning to the root: 1 over (total root
     conductance times effective resistance)."""
-    tree = _truncate(source, depth)
-    r = _subtree_resistances(tree)
-    if r[0] is None:
-        raise AllOpenCircuit("no grounded boundary to escape to")
+    tree, r = _network(source, depth)
     c_root = sum(1 / tree.lengths[c] for c in tree.children[0])
     return 1 / (c_root * r[0])
 
@@ -323,9 +298,7 @@ def random_walk_escape(
     either reaches a grounded leaf (escape) or re-enters the root (failure).
     Trials exceeding max_steps count as failures and are tallied.
     """
-    tree = _truncate(source, depth)
-    if not any(tree.capacities[v] == INF for v in tree.leaves):
-        raise AllOpenCircuit("no grounded boundary to escape to")
+    tree, _ = _network(source, depth)
     n = len(tree.parents)
     neighbors: list[list[int]] = [[] for _ in range(n)]
     cumulative: list[list[float]] = [[] for _ in range(n)]
@@ -419,8 +392,8 @@ def _classify(base: TreeSource, lam: Fraction, schedule, res_tol: float, thresho
         counts = [count for count, _ in profile]
         values = _profile_resistances(counts, float(lam), schedule, threshold)
     else:
-        scaled = LambdaScaledSource(base, lam)
-        values = [float(effective_resistance(scaled, h).value) for h in schedule]
+        per_depth = effective_resistance(LambdaScaledSource(base, lam), schedule[-1]).per_depth
+        values = [float(per_depth[h - 1]) for h in schedule]
     if values[-1] > threshold:
         return "divergent", values[-1]
     if len(values) >= 2 and values[-2] > 0 and values[-1] / values[-2] >= 1.8:
@@ -451,6 +424,8 @@ def branching_number_estimate(
     if not 0 < lo < hi:
         raise StructureError("need 0 < lam_lo < lam_hi")
     schedule = tuple(depth_schedule) if depth_schedule else _DEFAULT_SCHEDULE
+    if schedule[0] < 1 or list(schedule) != sorted(schedule):
+        raise StructureError("schedule depths must be >= 1 and nondecreasing")
     tol = Fraction(tol)
     res_tol = float(tol) / 8
     threshold = 10**6

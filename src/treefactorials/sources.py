@@ -179,18 +179,40 @@ class LambdaScaledSource(TreeSource):
         return 1 if self.lam.denominator == 1 else None
 
 
+# Miller-Rabin over the first 13 prime bases decides primality for every
+# n below this bound (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.  A witness proves n composite at any size;
+    an n at or above _MR_PROVEN_BELOW that no base witnesses raises
+    StructureError, since its primality is not proven."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= _MR_PROVEN_BELOW:
+        raise StructureError(
+            f"cannot prove {n} prime: the test is a proof only below {_MR_PROVEN_BELOW}"
+        )
     return True
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import signal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -84,6 +86,23 @@ def subdivide(tree: RootedTree, v: int, ratio=Fraction(1, 3)) -> RootedTree:
         if tree.capacities[u] is not None:
             caps[shift(u) if u != v else u + 1] = tree.capacities[u]
     return build(parents, lengths, caps)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError inside the block once `seconds` of wall time pass,
+    so a stall fails the test instead of hanging it (main thread only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_tree(

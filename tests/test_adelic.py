@@ -7,18 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from treefactorials import (
+    AdelicSetSource,
     IndexOutOfRange,
     StructureError,
-    adelic_tree,
     bhargava_factorials,
+    expand,
     factorials_prime,
     greedy_bhargava_oracle,
     legendre,
     separating_depth,
     superadditivity_gap,
 )
+from treefactorials.sources import _is_prime
 
 small_sets = st.lists(st.integers(-100, 100), min_size=1, max_size=8, unique=True).map(tuple)
 
@@ -39,37 +42,60 @@ class TestLegendre:
 
 
 class TestAdelicTree:
+    """The residue tree is the expansion of AdelicSetSource."""
+
     def test_full_residues_mod4(self):
-        t = adelic_tree((0, 1, 2, 3), 2, 2)
+        t = expand(AdelicSetSource((0, 1, 2, 3), 2), 2)
         assert len(t) == 7
         assert t.depths == (0, 1, 1, 2, 2, 2, 2)
         assert all(t.capacities[v] == 1 for v in t.leaves)
 
-    def test_collision_raises_capacity(self):
-        # 0 and 3 collide mod 3, so one depth-1 class holds two elements
-        t = adelic_tree((0, 1, 2, 3), 3, 1)
-        assert len(t) == 4
-        assert sorted(t.capacities[v] for v in t.leaves) == [1, 1, 2]
-
     def test_singleton(self):
-        t = adelic_tree((0,), 5, 1)
+        t = expand(AdelicSetSource((0,), 5), 1)
         assert t.parents == (-1, 0)
         assert t.capacities[1] == 1
 
     def test_early_separation_caps_at_one(self):
         # 0 and 4 split mod 8, so both classes end as leaves at depth 3
         # even when more depth was requested
-        t = adelic_tree((0, 4), 2, 5)
+        t = expand(AdelicSetSource((0, 4), 2), 5)
         assert all(t.capacities[v] == 1 for v in t.leaves)
         assert sorted(t.depths[v] for v in t.leaves) == [3, 3]
 
     def test_unit_lengths(self):
-        t = adelic_tree((0, 1, 5), 2, 3)
+        t = expand(AdelicSetSource((0, 1, 5), 2), 3)
         assert all(t.lengths[v] == 1 for v in range(1, len(t)))
 
-    def test_depth_must_be_positive(self):
-        with pytest.raises(StructureError):
-            adelic_tree((0, 1), 2, 0)
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(-3, 5000) if _is_prime(n)] == [n for n in range(5000) if trial(n)]
+
+    def test_strong_pseudoprimes_rejected(self):
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine
+        # prime bases respectively
+        with helpers.deadline(2):
+            for n in (3215031751, 3825123056546413051):
+                assert not _is_prime(n)
+                with pytest.raises(StructureError, match="not prime"):
+                    AdelicSetSource((0, 1), n)
+
+    def test_large_primes(self):
+        with helpers.deadline(2):
+            assert _is_prime(2**61 - 1)
+            assert _is_prime(2**31 - 1)
+            assert not _is_prime(2**61 + 1)
+
+    def test_unproven_prime_is_structure_error(self):
+        # 2**89 - 1 is prime but above the proven bound of the test
+        with helpers.deadline(2):
+            with pytest.raises(StructureError, match="cannot prove"):
+                _is_prime(2**89 - 1)
+            # compositeness is proven at any size
+            assert not _is_prime(2**89 + 1)
 
 
 class TestSeparatingDepth:

@@ -123,6 +123,18 @@ class TestAdelic:
         assert code == 1
         assert err.startswith("IndexOutOfRange:")
 
+    def test_large_prime_part_is_fast(self):
+        with helpers.deadline(2):
+            code, out, _ = run_cli("adelic", "--set", "0,1,2", "--p", str(2**61 - 1), "--n", "2")
+        assert code == 0
+        assert out.splitlines() == ["factorial(0) = 1", "factorial(1) = 1", "factorial(2) = 1"]
+
+    def test_unprovable_prime_is_domain_error(self):
+        with helpers.deadline(2):
+            code, out, err = run_cli("adelic", "--set", "0,1,2", "--p", str(2**89 - 1), "--n", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("StructureError: cannot prove")
+
 
 class TestFlow:
     def test_report(self):

@@ -10,19 +10,25 @@ import helpers
 import oracles
 from treefactorials import (
     INF,
+    AdelicSetSource,
     AllOpenCircuit,
     ExplicitSource,
     Inconclusive,
+    LambdaScaledSource,
     RegularSource,
     RootedTree,
+    SphericalSource,
+    StructureError,
     branching_number_estimate,
     effective_resistance,
     equidistribution_check,
     exact_escape_probability,
+    expand,
     factorials_weighting,
-    harmonic_profile,
+    flow,
     laplacian_voltage_gap,
     random_walk_escape,
+    sources,
     unit_current_flow,
 )
 
@@ -63,6 +69,82 @@ class TestEffectiveResistance:
             effective_resistance(helpers.star([1, 2], [1, 2]), 1)
         with pytest.raises(AllOpenCircuit):
             laplacian_voltage_gap(helpers.star([1, 2], [1, 2]))
+
+    def test_open_message_names_first_open_depth(self):
+        # grounded while cut at depth 1, open once it ends at depth 2
+        src = SphericalSource((2, 1, 0))
+        assert effective_resistance(src, 1).value == F(1, 2)
+        for query in (effective_resistance, unit_current_flow, exact_escape_probability):
+            with pytest.raises(AllOpenCircuit, match="at truncation depth 2$"):
+                query(src, 5)
+
+    def test_depth_zero_is_structure_error(self):
+        for query in (effective_resistance, unit_current_flow, exact_escape_probability):
+            with pytest.raises(StructureError):
+                query(RegularSource(2), 0)
+
+    def test_exhausted_tree_repeats_last_value(self):
+        t = helpers.path_tree([1, 2], cap=INF)
+        assert effective_resistance(t, 5).per_depth == (1, 3, 3, 3, 3)
+        root_only = RootedTree.build((-1,), (None,), {0: INF})
+        assert effective_resistance(root_only, 3).per_depth == (0, 0, 0)
+
+
+class TestPerDepthSweep:
+    """A flow query expands its source once; each per-depth value read off
+    that expansion matches a dense Laplacian solve of the truncation
+    expanded on its own."""
+
+    LAZY = (
+        RegularSource(2),
+        SphericalSource((2, 3), (F(1), F(1, 2))),
+        SphericalSource((3, 1), (F(1, 3), F(2))),
+        LambdaScaledSource(RegularSource(2), F(3, 2)),
+        AdelicSetSource((0, 1, 3, 4, 9, 12, 20), 2),
+    )
+
+    @staticmethod
+    def check(src, depth):
+        per_depth = effective_resistance(src, depth).per_depth
+        checked = 0
+        for h in range(1, depth + 1):
+            t = expand(src, h)
+            if any(t.capacities[v] == INF for v in t.leaves):
+                assert per_depth[h - 1] == oracles.dense_resistance(t), (src, h)
+                checked += 1
+        return checked
+
+    def test_random_trees(self):
+        rng = random.Random(20261018)
+        checked = 0
+        for _ in range(60):
+            t = helpers.random_tree(rng, max_edges=9, require_inf=True)
+            checked += self.check(ExplicitSource(t), max(t.depths) + 2)
+        assert checked >= 150
+
+    def test_lazy_sources(self):
+        for src in self.LAZY:
+            assert self.check(src, 4) == 4
+
+    def test_each_query_expands_once(self, monkeypatch):
+        calls = []
+
+        def counting(src, depth):
+            calls.append(depth)
+            return sources.expand(src, depth)
+
+        monkeypatch.setattr(flow, "expand", counting)
+        queries = (
+            effective_resistance,
+            unit_current_flow,
+            exact_escape_probability,
+            lambda src, h: random_walk_escape(src, h, trials=5, seed=1),
+        )
+        for query in queries:
+            for src in (RegularSource(2), helpers.binary_tree(3)):
+                calls.clear()
+                query(src, 5)
+                assert calls == [5]
 
 
 class TestLaplacianAgreement:
@@ -113,38 +195,6 @@ class TestUnitCurrentFlow:
                     assert fl.flows[v] == sum(fl.flows[c] for c in ft.children[v])
             energy = sum(ft.lengths[v] * fl.flows[v] ** 2 for v in fl.flows)
             assert energy == fl.energy == effective_resistance(t, max(t.depths) + 1).value
-
-
-class TestHarmonicProfile:
-    def test_path_profile(self):
-        t = helpers.path_tree([1, 1, 1], cap=INF)
-        hp = harmonic_profile(t, 3)
-        assert [hp.values[v] for v in range(4)] == [3, 2, 1, 0]
-        assert set(hp.edge_limits.values()) == {F(1)}
-
-    def test_finite_side_branch_gets_zero(self):
-        t = RootedTree.build((-1, 0, 0, 1), (0, 1, 1, 1), {2: 1, 3: INF})
-        hp = harmonic_profile(t, 2)
-        assert hp.values[2] == 0
-        assert hp.edge_limits[2] == 0
-
-    def test_binary_truncation(self):
-        hp = harmonic_profile(RegularSource(2), 3)
-        assert hp.values[0] == F(7, 8)
-        by_depth = {}
-        tree = hp.tree
-        for v in range(1, len(tree)):
-            by_depth.setdefault(tree.depths[v], set()).add(hp.edge_limits[v])
-        assert by_depth == {1: {F(1, 2)}, 2: {F(1, 4)}, 3: {F(1, 8)}}
-
-    def test_limits_equal_unit_flow(self):
-        rng = random.Random(13)
-        for _ in range(30):
-            t = helpers.random_tree(rng, max_edges=8, require_inf=True)
-            depth = max(t.depths) + 1
-            hp = harmonic_profile(t, depth)
-            fl = unit_current_flow(t, depth)
-            assert hp.edge_limits == fl.flows
 
 
 class TestEquidistribution:
@@ -230,3 +280,38 @@ class TestBranching:
     def test_evaluations_recorded(self):
         rep = branching_number_estimate(RegularSource(2), F(1), F(4))
         assert all(verdict in {"convergent", "divergent"} for _, verdict, _ in rep.evaluations)
+
+    def test_explicit_tree_does_not_stall(self):
+        # 40 edges; the default schedule reaches depth 4096
+        tree = expand(SphericalSource((4, 3, 2)), 3)
+        with helpers.deadline(2):
+            rep = branching_number_estimate(tree, F(1), F(4))
+        assert rep.status == "collapsed-high"
+
+    def test_explicit_tree_evaluations_match_per_depth_calls(self, monkeypatch):
+        tree = expand(SphericalSource((4, 3, 2)), 3)
+        schedule = (2, 3, 64)
+        calls = []
+        real = flow.effective_resistance
+
+        def counting(src, depth):
+            calls.append(depth)
+            return real(src, depth)
+
+        monkeypatch.setattr(flow, "effective_resistance", counting)
+        rep = branching_number_estimate(tree, F(1), F(4), depth_schedule=schedule)
+        assert calls == [64] * len(rep.evaluations)
+        monkeypatch.undo()
+        want = []
+        for lam, _, _ in rep.evaluations:
+            scaled = LambdaScaledSource(ExplicitSource(tree), lam)
+            values = [float(effective_resistance(scaled, h).value) for h in schedule]
+            assert values[0] < values[1] == values[2]
+            want.append((lam, "convergent", values[-1]))
+        assert list(rep.evaluations) == want
+
+    def test_schedule_must_be_positive_and_sorted(self):
+        for schedule in ((0, 3), (64, 16)):
+            for src in (RegularSource(2), helpers.binary_tree(2)):
+                with pytest.raises(StructureError):
+                    branching_number_estimate(src, F(1), F(4), depth_schedule=schedule)

@@ -71,12 +71,6 @@ class TestExpand:
         assert len(ends) == 3
         assert ends.capacities[1:] == (1, 1)
 
-    def test_adelic_source_matches_adelic_tree(self):
-        from treefactorials import adelic_tree
-
-        src = AdelicSetSource((0, 1, 2, 3), 2)
-        assert expand(src, 2) == adelic_tree((0, 1, 2, 3), 2, 2)
-
 
 class TestSourceValidation:
     def test_regular_degree(self):
