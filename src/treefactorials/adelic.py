@@ -1,18 +1,21 @@
 """Residue trees of integer sets and generalized factorials of integers.
 
-For a finite set S of integers and a prime p, the residue tree has the
-residues of S mod p**k as its depth-k vertices (unit edge lengths).  Its
-factorial sequence gives the p-adic valuations of the generalized factorials
-n!_S, recovered as a product over the primes dividing some pairwise
-difference.  Everything here is integer-exact.
+For a finite set S of integers and a modulus q >= 2, the residue tree has the
+residues of S mod q**k as its depth-k vertices (unit edge lengths).  At a
+prime p its factorial sequence gives the p-adic valuations of the generalized
+factorials n!_S; n!_S itself is a product over a coprime base of the pairwise
+differences, which needs no factoring.  Everything here is integer-exact.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .engine import Canonical, factorials_weighting
 from .errors import IndexOutOfRange, StructureError
 from .sequences import FactorialSequence
-from .sources import AdelicSetSource, _is_prime
+from .sources import AdelicSetSource, _require_prime
 
 __all__ = [
     "legendre",
@@ -62,8 +65,7 @@ def separating_depth(elements, p: int) -> int:
     log_p(max difference) + 1.
     """
     elems = _check_set(elements)
-    if not _is_prime(p):
-        raise StructureError(f"{p} is not prime")
+    _require_prime(p)
     best = 0
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
@@ -72,8 +74,12 @@ def separating_depth(elements, p: int) -> int:
 
 
 def factorials_prime(elements, p: int, n_max: int) -> FactorialSequence:
-    """Valuation sequence val_p(n!_S) for n <= n_max, via the weighting
-    process on the residue tree at its separating depth."""
+    """Factorial sequence of the residue tree of S mod powers of p, for
+    n <= n_max, via the weighting process at its separating depth.
+
+    At a prime p this is val_p(n!_S).  Any modulus p >= 2 gives a residue
+    tree; bhargava_factorials runs it on the elements of a coprime base.
+    """
     elems = _check_set(elements)
     if n_max >= len(elems):
         raise IndexOutOfRange(f"set has {len(elems)} boundary elements, requested index {n_max}")
@@ -84,52 +90,80 @@ def factorials_prime(elements, p: int, n_max: int) -> FactorialSequence:
     return FactorialSequence(values, f"adelic(p={p})")
 
 
-def _relevant_primes(elems: tuple[int, ...]) -> list[int]:
-    from sympy import primefactors  # deferred: big import, tiny call site
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1, sorted, such that every |x| for x in
+    `numbers` (all nonzero) is a product of their powers.  No factoring:
+    a pending y that shares g = gcd(y, b) > 1 with a base element b replaces
+    b by g, b // g and y // g, which keeps every x such a product and lowers
+    the product of all base and pending values by g, so the loop ends."""
+    base: list[int] = []
+    pending = list({abs(x) for x in numbers})
+    while pending:
+        y = pending.pop()
+        if y == 1:
+            continue
+        for i, b in enumerate(base):
+            g = math.gcd(y, b)
+            if g > 1:
+                base[i] = base[-1]
+                base.pop()
+                pending += (g, b // g, y // g)
+                break
+        else:
+            base.append(y)
+    return sorted(base)
 
-    primes: set[int] = set()
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            primes.update(primefactors(elems[j] - elems[i]))
-    return sorted(primes)
+
+def _difference_base(elems: tuple[int, ...]) -> list[int]:
+    return _coprime_base(b - a for a, b in itertools.combinations(elems, 2))
 
 
 def bhargava_factorials(elements, n_max: int) -> list[int]:
-    """n!_S for n <= n_max: product of p**val_p(n!_S) over the primes
-    dividing some pairwise difference of S."""
-    elems = _check_set(elements)
-    if n_max >= len(elems):
-        raise IndexOutOfRange(f"set has {len(elems)} boundary elements, requested index {n_max}")
-    out = [1] * (n_max + 1)
-    for p in _relevant_primes(elems):
-        seq = factorials_prime(elems, p, n_max)
-        for n, v in enumerate(seq.values):
-            out[n] *= p ** int(v)
-    return out
+    """n!_S for n <= n_max: the product of q**e_q(n) over a coprime base of
+    the pairwise differences of S, e_q being factorials_prime at q.
 
-
-def greedy_bhargava_oracle(elements, n_max: int) -> list[int]:
-    """n!_S with no tree machinery: for each relevant prime run the
-    valuation-greedy ordering directly on the integers, then multiply.
-
-    Step n picks an element minimizing val_p of the product of differences of
-    everything chosen so far; that minimum is val_p(n!_S).
+    A prime p dividing a base element q divides no other, so
+    val_p(d) = val_p(q) * val_q(d) for every difference d.  The p-adic
+    residue tree is then the mod-q**k tree with every level stretched into
+    val_p(q) unit edges (a capacity-1 leaf edge never enters a pairing), so
+    val_p(n!_S) = val_p(q) * e_q(n), and the p-parts over p | q multiply to
+    q**e_q(n).
     """
     elems = _check_set(elements)
     if n_max >= len(elems):
         raise IndexOutOfRange(f"set has {len(elems)} boundary elements, requested index {n_max}")
     out = [1] * (n_max + 1)
-    for p in _relevant_primes(elems):
+    for q in _difference_base(elems):
+        seq = factorials_prime(elems, q, n_max)
+        for n, v in enumerate(seq.values):
+            out[n] *= q ** int(v)
+    return out
+
+
+def greedy_bhargava_oracle(elements, n_max: int) -> list[int]:
+    """n!_S with no tree machinery: for each element q of the coprime base
+    of the differences run the valuation-greedy ordering directly on the
+    integers, then multiply.
+
+    Step n picks an element minimizing val_q of the product of differences of
+    everything chosen so far; that minimum is val_q(n!_S), the exponent of q
+    in n!_S.
+    """
+    elems = _check_set(elements)
+    if n_max >= len(elems):
+        raise IndexOutOfRange(f"set has {len(elems)} boundary elements, requested index {n_max}")
+    out = [1] * (n_max + 1)
+    for q in _difference_base(elems):
         chosen: list[int] = []
         remaining = list(elems)
         for n in range(n_max + 1):
             best_v: int | None = None
             best_s = None
             for s in remaining:
-                v = sum(_val(p, s - c) for c in chosen)
+                v = sum(_val(q, s - c) for c in chosen)
                 if best_v is None or v < best_v:
                     best_v, best_s = v, s
             chosen.append(best_s)
             remaining.remove(best_s)
-            out[n] *= p**best_v
+            out[n] *= q**best_v
     return out

@@ -30,7 +30,7 @@ from .engine import (
 )
 from .errors import ParseError, TreeFactorialError
 from .realize import BiasedSequence, OrderChoice, verify_roundtrip, realize_lengths
-from .sources import expand, parse_generator_spec
+from .sources import _require_prime, expand, parse_generator_spec
 from .trees import INF, format_length, parse_length, parse_tree_file, serialize_tree
 
 
@@ -47,10 +47,21 @@ def _add_source_args(p: argparse.ArgumentParser, need_depth: bool = False) -> No
     )
 
 
+class _UnreadableInput(Exception):
+    """An input file could not be read: exit code 2, like a usage error."""
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _UnreadableInput(exc) from exc
+
+
 def _load_source(args):
     if args.tree is not None:
-        with open(args.tree) as fh:
-            return parse_tree_file(fh.read())
+        return parse_tree_file(_read(args.tree))
     return parse_generator_spec(args.gen)
 
 
@@ -117,6 +128,7 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_adelic(args) -> int:
     elements = [int(tok) for tok in args.set.split(",") if tok.strip() != ""]
     if args.p is not None:
+        _require_prime(args.p)
         vals = adelic_mod.factorials_prime(elements, args.p, args.n)
         facts = [args.p ** int(v) for v in vals.values]
     else:
@@ -145,11 +157,9 @@ def _cmd_flow(args) -> int:
             f = fl.flows[v]
             print(f"{fl.tree.parents[v]},{v},{f.numerator},{f.denominator}")
         return 0
-    res = flow_mod.effective_resistance(source, depth)
-    esc = flow_mod.exact_escape_probability(source, depth)
-    print(f"resistance = {_fmt(res.value, args.float)}")
+    print(f"resistance = {_fmt(fl.resistance, args.float)}")
     print(f"energy = {_fmt(fl.energy, args.float)}")
-    print(f"escape = {_fmt(esc, args.float)}")
+    print(f"escape = {_fmt(fl.escape, args.float)}")
     if args.trials:
         walk = flow_mod.random_walk_escape(source, depth, args.trials, args.seed or 0)
         print(
@@ -226,12 +236,10 @@ def _parse_orders_file(text: str) -> OrderChoice:
 
 
 def _cmd_realize(args) -> int:
-    with open(args.seq) as fh:
-        seq = _parse_sequence_file(fh.read(), args.d)
+    seq = _parse_sequence_file(_read(args.seq), args.d)
     orders = None
     if args.orders is not None:
-        with open(args.orders) as fh:
-            orders = _parse_orders_file(fh.read())
+        orders = _parse_orders_file(_read(args.orders))
     if args.verify:
         report = verify_roundtrip(seq, orders)
         tree = report.tree
@@ -255,7 +263,6 @@ def _cmd_equidist(args) -> int:
     report = flow_mod.equidistribution_check(run, fl, depth)
     if args.csv:
         print("address,depth,omega_tilde,eta,deviation")
-        omega = run.normalized_weights_by_address()
         for address, w, f in report.rows:
             dotted = ".".join(str(i) for i in address)
             print(
@@ -349,7 +356,7 @@ def main(argv=None) -> int:
     except TreeFactorialError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except _UnreadableInput as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
 

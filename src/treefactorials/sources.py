@@ -216,11 +216,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(n: int) -> None:
+    """StructureError unless n is a proven prime; for a prime that comes
+    from outside the program (CLI --p, the adelic spec)."""
+    if not _is_prime(n):
+        raise StructureError(f"{n} is not prime")
+
+
 @dataclass(frozen=True)
 class AdelicSetSource(TreeSource):
-    """Residue tree of a finite integer set at a prime, unit edge lengths.
+    """Residue tree of a finite integer set modulo powers of p, unit edge
+    lengths.
 
-    Depth-k vertices are the residues mod p**k attained by the set.  A class
+    Depth-k vertices are the residues mod p**k attained by the set; any
+    integer p >= 2 defines the tree, and at a prime p its factorial
+    sequence is the p-adic valuation of the generalized factorials.  A class
     that shrinks to a single element at depth >= 1 becomes a capacity-1 leaf
     (its continuation is a bare path that never meets another element, so the
     cut does not change any factorial term).
@@ -234,8 +244,8 @@ class AdelicSetSource(TreeSource):
             raise StructureError("adelic source needs a nonempty set")
         if len(set(self.elements)) != len(self.elements):
             raise StructureError("adelic source elements must be distinct")
-        if not _is_prime(self.p):
-            raise StructureError(f"{self.p} is not prime")
+        if not isinstance(self.p, int) or self.p < 2:
+            raise StructureError(f"modulus must be an integer >= 2, got {self.p!r}")
 
     def root_state(self):
         return tuple(sorted(self.elements))
@@ -490,6 +500,7 @@ def parse_generator_spec(text: str) -> TreeSource:
             return LambdaScaledSource(parse_generator_spec(base[1:-1]), parse_length(lam))
         if kind == "adelic":
             p, elements = need("p", "set")
+            _require_prime(int(p))
             return AdelicSetSource(tuple(int(x) for x in elements.split(",")), int(p))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad value in generator spec: {exc}") from None

@@ -241,6 +241,52 @@ def vandermonde_factorials(elements, n_max: int) -> list[int]:
     return out
 
 
+def _valuation(x: int, p: int) -> int:
+    x = abs(x)
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _primes_dividing(x: int) -> set[int]:
+    x = abs(x)
+    out = set()
+    f = 2
+    while f * f <= x:
+        if x % f == 0:
+            out.add(f)
+            while x % f == 0:
+                x //= f
+        f += 1
+    if x > 1:
+        out.add(x)
+    return out
+
+
+def bhargava_by_primes(elements, n_max: int) -> list[int]:
+    """n!_S as the product of its p-parts over the primes dividing some
+    difference, found by trial division (keep differences below ~10**8).
+    Each p-part comes from Bhargava's p-ordering: step n picks an element
+    minimizing val_p of its product of differences with everything chosen
+    so far, and that minimum is val_p(n!_S)."""
+    elems = sorted(elements)
+    primes = set()
+    for a, b in itertools.combinations(elems, 2):
+        primes |= _primes_dividing(b - a)
+    out = [1] * (n_max + 1)
+    for p in primes:
+        chosen: list[int] = []
+        remaining = list(elems)
+        for n in range(n_max + 1):
+            v, s = min((sum(_valuation(x - c, p) for c in chosen), x) for x in remaining)
+            chosen.append(s)
+            remaining.remove(s)
+            out[n] *= p**v
+    return out
+
+
 def dense_resistance(tree) -> Fraction:
     """Root-to-ground resistance by Gaussian elimination on the full vertex
     Laplacian: infinite-capacity leaves are pinned to potential 0, a unit

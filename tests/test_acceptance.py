@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 import helpers
+import oracles
 from test_realize import TWINS, staircase
 from treefactorials import INF
 from treefactorials.adelic import bhargava_factorials, factorials_prime, legendre
@@ -30,7 +31,6 @@ from treefactorials.flow import (
     effective_resistance,
     equidistribution_check,
     exact_escape_probability,
-    laplacian_voltage_gap,
     random_walk_escape,
     unit_current_flow,
 )
@@ -119,7 +119,7 @@ def test_criterion_05_finite_tree_formula():
             rng, max_edges=7, lengths=lengths, caps=(1, INF), require_inf=True
         )
         res = effective_resistance(tree, max(tree.depths)).value
-        assert laplacian_voltage_gap(tree) == res
+        assert oracles.dense_resistance(tree) == res
         seq = factorials_weighting(tree, 10**4).sequence
         assert abs(seq.values[-1] / 10**4 - res) < Fraction(1, 1000)
         record("criterion 5", seq.values)

@@ -1,7 +1,9 @@
 """Residue trees of integer sets and multiplicative factorials."""
 
+import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,11 @@ from treefactorials import (
     factorials_prime,
     greedy_bhargava_oracle,
     legendre,
+    parse_generator_spec,
     separating_depth,
     superadditivity_gap,
 )
+from treefactorials.adelic import _coprime_base
 from treefactorials.sources import _is_prime
 
 small_sets = st.lists(st.integers(-100, 100), min_size=1, max_size=8, unique=True).map(tuple)
@@ -81,7 +85,7 @@ class TestPrimality:
             for n in (3215031751, 3825123056546413051):
                 assert not _is_prime(n)
                 with pytest.raises(StructureError, match="not prime"):
-                    AdelicSetSource((0, 1), n)
+                    parse_generator_spec(f"adelic p={n} set=0,1")
 
     def test_large_primes(self):
         with helpers.deadline(2):
@@ -96,6 +100,37 @@ class TestPrimality:
                 _is_prime(2**89 - 1)
             # compositeness is proven at any size
             assert not _is_prime(2**89 + 1)
+
+
+class TestCoprimeBase:
+    # products of a few primes and prime powers, so that gcd splits happen
+    numbers = st.lists(
+        st.one_of(
+            st.lists(st.sampled_from([-1, 2, 3, 4, 5, 9, 49, 11, 2**61 - 1]), max_size=5).map(math.prod),
+            st.integers(-(10**12), 10**12),
+        ).filter(bool),
+        min_size=1,
+        max_size=12,
+    )
+
+    @given(numbers)
+    def test_pairwise_coprime_and_spanning(self, numbers):
+        base = _coprime_base(numbers)
+        assert all(q > 1 for q in base)
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+        assert all(any(x % q == 0 for x in numbers) for q in base)
+        for x in numbers:
+            x = abs(x)
+            for q in base:
+                while x % q == 0:
+                    x //= q
+            assert x == 1
+
+    def test_splits_shared_factors(self):
+        assert _coprime_base([12, 18]) == [2, 3]
+        assert _coprime_base([6, 10, 15, -1]) == [2, 3, 5]
+        assert _coprime_base([4, 8]) == [2]
+        assert _coprime_base([1, -1]) == []
 
 
 class TestSeparatingDepth:
@@ -182,3 +217,31 @@ class TestBhargava:
     def test_rejects_duplicates(self):
         with pytest.raises(StructureError):
             bhargava_factorials((1, 1, 2), 1)
+
+    def test_matches_per_prime_reference(self):
+        rng = random.Random(20261018)
+        for _ in range(16):
+            k = rng.randint(2, 8)
+            if rng.random() < 0.5:
+                s = tuple(rng.sample(range(10**8), k))
+            else:
+                # a common factor with prime powers: composite base elements
+                c = rng.choice([12, 360, 9991, 2**10 * 3**4])
+                s = tuple(c * x for x in rng.sample(range(-40, 40), k))
+            assert bhargava_factorials(s, k - 1) == oracles.bhargava_by_primes(s, k - 1)
+
+    def test_huge_prime_differences(self):
+        p89 = 2**89 - 1  # prime, past the range where primality is proven
+        q = 10000000000000000000123456813  # a 29-digit prime
+        wide = (1, 0, 6 * q, 10 * q, 15 * q)
+        with helpers.deadline(2):
+            assert bhargava_factorials((0, p89, 2 * p89), 2) == [1, p89, 2 * p89**2]
+            assert greedy_bhargava_oracle((0, p89, 2 * p89), 2) == [1, p89, 2 * p89**2]
+            got = bhargava_factorials(wide, 4)
+        assert got == oracles.vandermonde_factorials(wide, 4)
+
+    def test_needs_no_sympy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "sympy", None)
+        s = (0, 4, 6, 9, 18, 35)
+        want = oracles.vandermonde_factorials(s, 5)
+        assert bhargava_factorials(s, 5) == greedy_bhargava_oracle(s, 5) == want

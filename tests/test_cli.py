@@ -1,12 +1,13 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import io
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 import helpers
-from treefactorials import INF, parse_tree_file, serialize_tree
+from treefactorials import INF, cli, flow, parse_tree_file, serialize_tree, sources
 from treefactorials.cli import main
 
 
@@ -135,6 +136,26 @@ class TestAdelic:
         assert code == 1 and out == ""
         assert err.startswith("StructureError: cannot prove")
 
+    def test_composite_p_is_domain_error(self):
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+        for p in ("4", "3215031751"):
+            code, out, err = run_cli("adelic", "--set", "0,1", "--p", p, "--n", "1")
+            assert code == 1 and out == ""
+            assert err == f"StructureError: {p} is not prime\n"
+
+    def test_huge_prime_dividing_a_difference(self):
+        p89 = 2**89 - 1
+        with helpers.deadline(2):
+            code, out, _ = run_cli("adelic", "--set", f"0,{p89},{2 * p89}", "--n", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == f"factorial(2) = {2 * p89**2}"
+
+    def test_runs_without_sympy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "sympy", None)
+        code, out, _ = run_cli("adelic", "--set", "0,4,6,9,18,35", "--n", "5", "--csv")
+        assert code == 0
+        assert out.splitlines()[1:3] == ["0,1", "1,1"]
+
 
 class TestFlow:
     def test_report(self):
@@ -163,6 +184,19 @@ class TestFlow:
         code, _, err = run_cli("flow", "--tree", star3, "--depth", "2")
         assert code == 1
         assert err.startswith("AllOpenCircuit:")
+
+    def test_one_expansion_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(src, depth):
+            calls.append(depth)
+            return sources.expand(src, depth)
+
+        monkeypatch.setattr(flow, "expand", counting)
+        for extra in ((), ("--csv",), ("--float",)):
+            calls.clear()
+            code, _, _ = run_cli("flow", "--gen", "regular d=2", "--depth", "4", *extra)
+            assert code == 0 and calls == [4]
 
 
 class TestBranching:
@@ -244,10 +278,26 @@ class TestEquidist:
 
 
 class TestExitCodes:
-    def test_missing_file_is_io_error(self):
+    def test_missing_file_is_io_error(self, tmp_path):
         code, _, err = run_cli("factorials", "--tree", "/nonexistent.tree", "--n", "3")
         assert code == 2
         assert "cannot read input" in err
+        seq = tmp_path / "seq.csv"
+        seq.write_text("0,1,0\n0,2,0\n1,1,10\n1,2,12\n")
+        missing = str(tmp_path / "missing.txt")
+        for argv in (("--seq", missing), ("--seq", str(seq), "--orders", missing)):
+            code, out, err = run_cli("realize", "--d", "2", *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("cannot read input")
+
+    def test_oserror_during_computation_propagates(self, monkeypatch):
+        # only reading an input file maps OSError to exit code 2
+        def alarm(*args, **kwargs):
+            raise TimeoutError("deadline passed")
+
+        monkeypatch.setattr(cli, "factorials_weighting", alarm)
+        with pytest.raises(TimeoutError):
+            run_cli("factorials", "--gen", "regular d=2", "--n", "3")
 
     def test_domain_error(self, tmp_path):
         path = tmp_path / "bad.tree"

@@ -149,9 +149,12 @@ class TestPerDepthSweep:
 
 class TestLaplacianAgreement:
     def test_fixed_points(self):
-        assert laplacian_voltage_gap(helpers.single_edge(2, INF)) == 2
-        assert laplacian_voltage_gap(helpers.star([2, 3], [INF, INF])) == F(6, 5)
-        assert laplacian_voltage_gap(helpers.binary_tree(2)) == F(3, 4)
+        for t, want in (
+            (helpers.single_edge(2, INF), 2),
+            (helpers.star([2, 3], [INF, INF]), F(6, 5)),
+            (helpers.binary_tree(2), F(3, 4)),
+        ):
+            assert laplacian_voltage_gap(t) == oracles.dense_resistance(t) == want
 
     def test_three_way_agreement_random(self):
         rng = random.Random(20260819)
@@ -194,7 +197,7 @@ class TestUnitCurrentFlow:
                 if ft.children[v]:
                     assert fl.flows[v] == sum(fl.flows[c] for c in ft.children[v])
             energy = sum(ft.lengths[v] * fl.flows[v] ** 2 for v in fl.flows)
-            assert energy == fl.energy == effective_resistance(t, max(t.depths) + 1).value
+            assert energy == fl.energy == fl.resistance == effective_resistance(t, max(t.depths) + 1).value
 
 
 class TestEquidistribution:
@@ -309,6 +312,18 @@ class TestBranching:
             assert values[0] < values[1] == values[2]
             want.append((lam, "convergent", values[-1]))
         assert list(rep.evaluations) == want
+
+    def test_level_profile_read_once(self, monkeypatch):
+        calls = []
+
+        def counting(src, depth):
+            calls.append(depth)
+            return sources.level_profile(src, depth)
+
+        monkeypatch.setattr(flow, "level_profile", counting)
+        rep = branching_number_estimate(RegularSource(3), F(1), F(5))
+        assert rep.status == "bracketed" and len(rep.evaluations) > 2
+        assert calls == [4096]
 
     def test_schedule_must_be_positive_and_sorted(self):
         for schedule in ((0, 3), (64, 16)):

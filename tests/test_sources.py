@@ -94,7 +94,7 @@ class TestSourceValidation:
         with pytest.raises(StructureError):
             AdelicSetSource((1, 1), 2)
         with pytest.raises(StructureError):
-            AdelicSetSource((0, 1), 4)
+            AdelicSetSource((0, 1), 1)
 
     def test_length_scale(self):
         assert RegularSource(2).length_scale() == 1
