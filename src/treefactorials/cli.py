@@ -157,7 +157,7 @@ def _cmd_flow(args) -> int:
             f = fl.flows[v]
             print(f"{fl.tree.parents[v]},{v},{f.numerator},{f.denominator}")
         return 0
-    print(f"resistance = {_fmt(fl.resistance, args.float)}")
+    print(f"resistance = {_fmt(fl.energy, args.float)}")
     print(f"energy = {_fmt(fl.energy, args.float)}")
     print(f"escape = {_fmt(fl.escape, args.float)}")
     if args.trials:

@@ -120,10 +120,68 @@ def effective_resistance(source: TreeSource | RootedTree, depth: int) -> Resista
 
 
 def laplacian_voltage_gap(tree: RootedTree) -> Fraction:
-    """Voltage gap of a unit current from the root to the merged grounded
-    leaves of the whole tree: its effective resistance.  Raises
-    AllOpenCircuit when no leaf is grounded."""
-    return _network(tree, max(max(tree.depths), 1))[1][0]
+    """Voltage difference produced by a unit current from the root to the
+    merged grounded leaves, computed from the full graph Laplacian by exact
+    Gaussian elimination.  Equals the effective resistance of the tree.
+    """
+    n = len(tree.parents)
+    grounded = [v for v in tree.leaves if tree.capacities[v] == INF]
+    if not grounded:
+        raise AllOpenCircuit("no infinite-capacity leaf to ground")
+    sink = set(grounded)
+    # Node indices: root is eliminated (potential 0), all grounded leaves
+    # merge into one sink variable, every other vertex keeps its own.
+    idx: dict[int, int] = {}
+    for v in range(1, n):
+        if v not in sink:
+            idx[v] = len(idx)
+    sink_col = len(idx)
+    m = sink_col + 1
+
+    def col(v: int) -> int | None:
+        if v == 0:
+            return None
+        return sink_col if v in sink else idx[v]
+
+    # Row for vertex w states: sum over neighbors u of c_uw (F(w) - F(u))
+    # equals the external injection at w, which is -1 at the sink and 0 at
+    # every other non-root vertex.
+    a = [[Fraction(0)] * m for _ in range(m)]
+    b = [Fraction(0)] * m
+    b[sink_col] = Fraction(-1)
+    for v in range(1, n):
+        u = tree.parents[v]
+        c = 1 / tree.lengths[v]
+        for x, y in ((col(u), col(v)), (col(v), col(u))):
+            if x is None:
+                continue
+            a[x][x] += c
+            if y is not None:
+                a[x][y] -= c
+
+    # Gaussian elimination, first nonzero pivot (exact, no stability issue).
+    for k in range(m):
+        piv = next(r for r in range(k, m) if a[r][k])
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            b[k], b[piv] = b[piv], b[k]
+        inv = 1 / a[k][k]
+        for r in range(k + 1, m):
+            if not a[r][k]:
+                continue
+            f = a[r][k] * inv
+            for c in range(k, m):
+                a[r][c] -= f * a[k][c]
+            b[r] -= f * b[k]
+    x = [Fraction(0)] * m
+    for k in range(m - 1, -1, -1):
+        s = b[k]
+        for c in range(k + 1, m):
+            s -= a[k][c] * x[c]
+        x[k] = s / a[k][k]
+    # Unit current flows root -> sink; with F(root) = 0 the sink potential is
+    # -R, and the gap F(root) - F(sink) is the resistance.
+    return -x[sink_col]
 
 
 @dataclass(frozen=True)
@@ -132,20 +190,17 @@ class FlowAssignment:
 
     flows[v] is the current on the edge into v (0 on edges into open
     subtrees).  The energy sum(length * flow**2) equals the effective
-    resistance, which the sweep behind the flow also gives exactly.
+    resistance.
     """
 
     tree: RootedTree
     flows: dict[int, Fraction]
     energy: Fraction
-    resistance: Fraction
 
     @property
     def escape(self) -> Fraction:
-        """Escape probability of the walk from the root: 1 over (total root
-        conductance times effective resistance)."""
-        c_root = sum(1 / self.tree.lengths[c] for c in self.tree.children[0])
-        return 1 / (c_root * self.resistance)
+        """Escape probability of the walk from the root."""
+        return _escape(self.tree, self.energy)
 
     def by_address(self) -> dict[tuple[int, ...], Fraction]:
         addr = self.tree.addresses
@@ -169,7 +224,7 @@ def unit_current_flow(source: TreeSource | RootedTree, depth: int) -> FlowAssign
             flows[c] = fc
             inflow[c] = fc
             energy += tree.lengths[c] * fc * fc
-    return FlowAssignment(tree, flows, energy, r[0])
+    return FlowAssignment(tree, flows, energy)
 
 
 @dataclass(frozen=True)
@@ -225,10 +280,18 @@ class WalkResult:
         return self.escaped / self.trials
 
 
+def _escape(tree: RootedTree, resistance: Fraction) -> Fraction:
+    """1 over (total root conductance times effective resistance)."""
+    c_root = sum(1 / tree.lengths[c] for c in tree.children[0])
+    return 1 / (c_root * resistance)
+
+
 def exact_escape_probability(source: TreeSource | RootedTree, depth: int) -> Fraction:
     """Probability that the conductance-biased walk from the root hits the
-    grounded boundary before returning to the root; see FlowAssignment.escape."""
-    return unit_current_flow(source, depth).escape
+    grounded boundary before returning to the root: 1 over (total root
+    conductance times effective resistance)."""
+    tree, r = _network(source, depth)
+    return _escape(tree, r[0])
 
 
 def random_walk_escape(

@@ -197,7 +197,7 @@ class TestUnitCurrentFlow:
                 if ft.children[v]:
                     assert fl.flows[v] == sum(fl.flows[c] for c in ft.children[v])
             energy = sum(ft.lengths[v] * fl.flows[v] ** 2 for v in fl.flows)
-            assert energy == fl.energy == fl.resistance == effective_resistance(t, max(t.depths) + 1).value
+            assert energy == fl.energy == effective_resistance(t, max(t.depths) + 1).value
 
 
 class TestEquidistribution:
