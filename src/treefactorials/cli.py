@@ -161,7 +161,8 @@ def _cmd_flow(args) -> int:
     print(f"energy = {_fmt(fl.energy, args.float)}")
     print(f"escape = {_fmt(fl.escape, args.float)}")
     if args.trials:
-        walk = flow_mod.random_walk_escape(source, depth, args.trials, args.seed or 0)
+        # The walk runs on the flow's own truncation, not a second expansion.
+        walk = flow_mod._walk(fl.tree, args.trials, args.seed or 0)
         print(
             f"escape_mc = {walk.fraction!r} (trials={walk.trials}, "
             f"timeouts={walk.timeouts})"

@@ -154,119 +154,109 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
     if n_max == 0:
         return finish()
 
-    parent = view.parent
-    length = view.length
-    children = view.children
-
-    _elen: dict[int, object] = {}
-
-    def elen(v: int):
-        L = _elen.get(v)
-        if L is None:
-            # Integral by the length_scale contract.
-            L = (length(v) * scale).numerator if scale is not None else length(v)
-            _elen[v] = L
-        return L
-
-    def weight_strict_path(start: int, first: int) -> list[int]:
-        """Give weight 1 to the strict path through edge (start, first);
-        the returned chain ends at a branching vertex or a leaf."""
-        cur = first
-        weights[cur] = 1
-        chain = [cur]
-        while True:
-            kids = children(cur)
-            if len(kids) != 1:
-                return chain
-            (cur,) = kids
-            weights[cur] = 1
-            chain.append(cur)
-
-    def increment_path(v: int):
-        while v != 0:
-            weights[v] += 1
-            v = parent(v)
-
-    # Hierarchical argmin.  best[v] is the least (score, key, id) triple over
-    # unsaturated vertices in v's weighted subtree, score relative to v, or
-    # None when that subtree has none; key is the policy's key(id), unique per
-    # vertex.  A step changes weights only along the selection path and the
-    # freshly weighted chains, so recomputing the entries bottom-up along
-    # those paths keeps every other subtree summary valid; lexicographic
-    # propagation makes the root entry the smallest key among minimal scores,
-    # the choice the policy would make from the full tie set.
+    # Hierarchical argmin over lists indexed by node id.  A vertex enters
+    # the lists when it is weighted: kids[v] is its children tuple, par[v]
+    # its parent, elen[v] its edge length (times `scale` when scaled), and
+    # room[v] how often v itself can still be chosen: its count of
+    # unweighted children, or for a leaf its capacity minus its weight.
+    # up[v] is the least (score, key, id) triple over unsaturated vertices in
+    # v's weighted subtree, with the score measured from v's parent (v's own
+    # edge term included), or None when that subtree has none; key is the
+    # policy's key(id), unique per vertex.  Unweighted vertices keep
+    # up = None, so a parent compares its children's entries as they stand.
+    # A step changes weights only along the selection path, which is the
+    # chosen vertex's ancestor chain, and on the freshly weighted chains, so
+    # recomputing those entries bottom-up keeps every other entry valid;
+    # lexicographic propagation makes the root's entry the smallest key among
+    # minimal scores, the choice the policy would make from the full tie set.
+    # Children ids ascend, so the lists start just past the root's children
+    # and grow, at least doubling, when a vertex's last child is past their
+    # end; a lazy view's ids appear as it materializes.
     #
     # The per-edge term max(weight - t, 0) * length is the full removed
     # score: dropping the t largest pairing terms subtracts, level by level,
     # min(t, weight) copies of each edge length (the pairing multiset has
     # weight-difference many copies of each prefix length, and the two sums
     # telescope against each other).
+    length = view.length
+    children = view.children
     key = policy.key
-    best: dict[int, tuple | None] = {}
+    size = root_kids[-1] + 1
+    kids: list = [None] * size
+    par: list = [None] * size
+    elen: list = [None] * size
+    room: list = [None] * size
+    up: list = [None] * size
+    kids[0] = root_kids
+    room[0] = len(root_kids)
 
-    def recompute(v: int):
-        kids = children(v)
-        if kids:
-            b = (zero, key(v), v) if any(c not in weights for c in kids) else None
-        else:
-            b = (zero, key(v), v) if weights[v] < view.capacity(v) else None
-        for c in kids:
-            w = weights.get(c)
-            if w is None:
-                continue
-            bc = best[c]
-            if bc is None:
-                continue
-            cand = ((w - t) * elen(c) + bc[0], bc[1], bc[2]) if w > t else bc
-            if b is None or cand < b:
-                b = cand
-        best[v] = b
+    def weigh_chain(start: int, first: int):
+        """Give weight 1 to the strict path through edge (start, first),
+        which ends at a branching vertex or a leaf, and set its entries."""
+        chain = []
+        prev, cur = start, first
+        while True:
+            room[prev] -= 1
+            ks = children(cur)
+            if ks and ks[-1] >= len(kids):
+                extra = [None] * (ks[-1] + 1)
+                for a in (kids, par, elen, room, up):
+                    a += extra
+            weights[cur] = 1
+            kids[cur] = ks
+            par[cur] = prev
+            L = length(cur)
+            # Integral by the length_scale contract.
+            elen[cur] = L.numerator * (scale // L.denominator) if scale is not None else L
+            room[cur] = len(ks) if ks else view.capacity(cur) - 1
+            chain.append(cur)
+            if len(ks) != 1:
+                break
+            prev, cur = cur, ks[0]
+        for v in reversed(chain):
+            recompute(v, 1)
 
-    for u in reversed(weight_strict_path(0, min(root_kids, key=key))):
-        recompute(u)
-    recompute(0)
+    def recompute(v: int, w: int):
+        """Set up[v] from v's own entry and its children's; the root passes
+        w = 0, which adds no edge term."""
+        # room never drops below 0, so a falsy room means v is saturated.
+        b = (zero, key(v), v) if room[v] else None
+        for c in kids[v]:
+            bc = up[c]
+            if bc is not None and (b is None or bc < b):
+                b = bc
+        up[v] = ((w - t) * elen[v] + b[0], b[1], b[2]) if b is not None and w > t else b
+
+    weigh_chain(0, min(root_kids, key=key))
+    recompute(0, 0)
 
     for n in range(1, n_max + 1):
-        b0 = best[0]
-        if b0 is None:
+        if up[0] is None:
             break  # no unsaturated vertices remain: the sequence is complete
-        s, _, x = b0
+        s, _, x = up[0]
         values.append(s)
-        # Recover the root-to-x path by following the recorded argmin ids.
-        path = [0]
-        u = 0
-        while u != x:
-            for c in children(u):
-                bc = best.get(c)
-                if bc is not None and bc[2] == x:
-                    u = c
-                    break
-            else:
-                raise StructureError("selection walk lost its argmin")
-            path.append(u)
-
-        kids = children(x)
-        if not kids:
+        kx = kids[x]
+        if not kx:
             case = "2.2"
-            increment_path(x)
+            room[x] -= 1
         else:
-            pendings = [c for c in kids if c not in weights]
-            if len(pendings) < len(kids):
+            pendings = [c for c in kx if c not in weights]
+            if len(pendings) < len(kx):
                 case = "1"
-                y = min(pendings, key=key)
-                increment_path(x)
-                for u in reversed(weight_strict_path(x, y)):
-                    recompute(u)
+                weigh_chain(x, min(pendings, key=key))
             else:
                 case = "2.1"
                 z, w = sorted(pendings, key=key)[:2]
-                increment_path(x)
-                for u in reversed(weight_strict_path(x, z)):
-                    recompute(u)
-                for u in reversed(weight_strict_path(x, w)):
-                    recompute(u)
-        for u in reversed(path):
-            recompute(u)
+                weigh_chain(x, z)
+                weigh_chain(x, w)
+        # Every edge on the root-to-x path gains weight 1.
+        u = x
+        while u:
+            w = weights[u] + 1
+            weights[u] = w
+            recompute(u, w)
+            u = par[u]
+        recompute(0, 0)
         if record_trace:
             trace.append(TraceStep(n, x, case, tofrac(s)))
     return finish()

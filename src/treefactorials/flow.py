@@ -294,12 +294,15 @@ def exact_escape_probability(source: TreeSource | RootedTree, depth: int) -> Fra
     return _escape(tree, r[0])
 
 
+_MAX_STEPS = 10**6
+
+
 def random_walk_escape(
     source: TreeSource | RootedTree,
     depth: int,
     trials: int,
     seed: int,
-    max_steps: int = 10**6,
+    max_steps: int = _MAX_STEPS,
 ) -> WalkResult:
     """Monte Carlo estimate of the escape probability.
 
@@ -309,6 +312,11 @@ def random_walk_escape(
     Trials exceeding max_steps count as failures and are tallied.
     """
     tree, _ = _network(source, depth)
+    return _walk(tree, trials, seed, max_steps)
+
+
+def _walk(tree: RootedTree, trials: int, seed: int, max_steps: int = _MAX_STEPS) -> WalkResult:
+    """random_walk_escape on an already grounded truncation."""
     n = len(tree.parents)
     neighbors: list[list[int]] = [[] for _ in range(n)]
     cumulative: list[list[float]] = [[] for _ in range(n)]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
 from math import lcm
+from operator import add, lt
 
 __all__ = ["FactorialSequence", "LimitEstimate", "limit_estimate", "superadditivity_gap"]
 
@@ -26,15 +28,13 @@ class FactorialSequence:
         return tuple(float(v) for v in self.values)
 
 
-def _scaled_int64(values):
-    """The values over their common denominator as an int64 array, or None
-    when numpy is missing or the sum of two values could overflow int64."""
+def _int64_array(scaled):
+    """The scaled values as an int64 array, or None when numpy is missing or
+    the sum of two values could overflow int64."""
     try:
         import numpy as np
     except ImportError:
         return None
-    den = lcm(*(v.denominator for v in values))
-    scaled = [int(v * den) for v in values]
     if max(abs(x) for x in scaled) >= 2**62:
         return None
     return np.array(scaled, dtype=np.int64)
@@ -43,18 +43,24 @@ def _scaled_int64(values):
 def superadditivity_gap(values) -> tuple[int, int] | None:
     """First (m, n) with a_{m+n} < a_m + a_n, or None if superadditive.
 
-    Checks every pair.  Long sequences are checked as machine integers over a
-    common denominator when numpy is installed and every value stays below
-    2**62 in magnitude, so no pairwise sum wraps; otherwise by exact loop.
+    Checks every pair m <= n, in order of m, then n, on the values times
+    their common denominator, so every comparison is between integers.
+    Sequences longer than 1500 terms are checked as int64 arrays when numpy
+    is installed and every scaled value stays below 2**62 in magnitude, so
+    no pairwise sum wraps; otherwise by an exact loop over Python ints.
     """
     K = len(values)
-    arr = _scaled_int64(values) if K > 1500 else None
+    den = lcm(*(v.denominator for v in values))
+    a = [v.numerator * (den // v.denominator) for v in values]
+    arr = _int64_array(a) if K > 1500 else None
     if arr is None:
-        for m in range(1, K):
-            am = values[m]
-            for n in range(m, K - m):
-                if values[m + n] < am + values[n]:
-                    return (m, n)
+        for m in range(1, (K + 1) // 2):
+            # a_{m+n} against a_m + a_n for n = m .. K-m-1, stopping at the
+            # first n that breaks it.
+            sums = map(add, repeat(a[m]), a[m : K - m])  # noqa: E203
+            n = next(compress(count(m), map(lt, a[2 * m :], sums)), None)  # noqa: E203
+            if n is not None:
+                return (m, n)
         return None
     for m in range(1, K):
         rest = arr[2 * m : K]  # noqa: E203

@@ -105,6 +105,20 @@ def deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+def count_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Replace owner.name (a module function or a method) by a wrapper that
+    records the positional arguments of each call; returns the record."""
+    real = getattr(owner, name)
+    calls: list[tuple] = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def random_tree(
     rng: random.Random,
     max_edges: int = 7,

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import helpers
-from treefactorials import INF, cli, flow, parse_tree_file, serialize_tree, sources
+from treefactorials import INF, cli, flow, parse_tree_file, serialize_tree
 from treefactorials.cli import main
 
 
@@ -186,17 +186,11 @@ class TestFlow:
         assert err.startswith("AllOpenCircuit:")
 
     def test_one_expansion_per_run(self, monkeypatch):
-        calls = []
-
-        def counting(src, depth):
-            calls.append(depth)
-            return sources.expand(src, depth)
-
-        monkeypatch.setattr(flow, "expand", counting)
-        for extra in ((), ("--csv",), ("--float",)):
+        calls = helpers.count_calls(monkeypatch, flow, "expand")
+        for extra in ((), ("--csv",), ("--float",), ("--trials", "50", "--seed", "1")):
             calls.clear()
             code, _, _ = run_cli("flow", "--gen", "regular d=2", "--depth", "4", *extra)
-            assert code == 0 and calls == [4]
+            assert code == 0 and [depth for _, depth in calls] == [4]
 
 
 class TestBranching:

@@ -1,5 +1,6 @@
 """The weighting process and its two independent reference procedures."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -11,14 +12,17 @@ import helpers
 import oracles
 from treefactorials import (
     INF,
+    AdelicSetSource,
     Canonical,
     Exhausted,
     ExplicitSource,
     IndexOutOfRange,
+    LambdaScaledSource,
     OrderedTieBreak,
     RegularSource,
     RootedTree,
     SeededRandom,
+    SphericalSource,
     StructureError,
     canonical_skeleton,
     capacity_bound,
@@ -27,6 +31,7 @@ from treefactorials import (
     factorials_removed,
     factorials_weighting,
 )
+from treefactorials.sources import LazyView
 
 F = Fraction
 
@@ -361,9 +366,61 @@ class TestTieBreakPolicies:
         # Legendre: v_2(k!) = k - (binary digit sum of k)
         assert list(vals) == [k - bin(k).count("1") for k in range(n + 1)]
 
+    def test_lazy_children_read_once_per_weighted_vertex(self, monkeypatch):
+        calls = helpers.count_calls(monkeypatch, LazyView, "children")
+        n = 2**12
+        run = factorials_weighting(RegularSource(2), n)
+        assert list(run.sequence.values) == [k - bin(k).count("1") for k in range(n + 1)]
+        # the root's children, then each weighted vertex's children once
+        assert len(calls) <= len(run.weights) + 1
+
     def test_ordered_tie_break_follows_rank(self):
         t = helpers.star([1, 1, 1], [INF, INF, INF])
         fwd = factorials_weighting(ExplicitSource(t), 6, OrderedTieBreak({1: 0, 2: 1, 3: 2}), record_trace=True)
         rev = factorials_weighting(ExplicitSource(t), 6, OrderedTieBreak({1: 2, 2: 1, 3: 0}), record_trace=True)
         assert fwd.sequence.values == rev.sequence.values
         assert fwd.trace != rev.trace
+
+
+class TestGoldenTraces:
+    """One digest over the values, traces and weights of a fixed set of runs,
+    so any change to a selection shows up, whichever policy makes it."""
+
+    DIGEST = "d5203390db9acd223f5715c217d109b9b5d7c51bcf33de186fdb0d19870d149e"
+
+    @staticmethod
+    def outcomes():
+        rng = random.Random(2016)
+        inputs = []
+        for _ in range(60):
+            tree = helpers.random_tree(rng, max_edges=13, lengths=(F(1), F(2), F(1, 2), F(3, 2)), caps=(1, 2, 3, INF))
+            inputs.append((ExplicitSource(tree), 25, len(tree)))
+        for src in (
+            RegularSource(2),
+            SphericalSource((2, 3), (F(1, 2), F(2, 3))),
+            LambdaScaledSource(RegularSource(2), F(3, 2)),
+            # A finite lazy tree whose root children include leaves.
+            AdelicSetSource((0, 1, 3, 5, 9, 17, 33), 2),
+        ):
+            inputs.append((src, 200, 600))
+        for i, (src, n, ids) in enumerate(inputs):
+            # Ranks cover most ids and collide, so the id fallback runs too.
+            rank = {v: rng.randrange(ids) for v in range(ids) if rng.random() < 0.8}
+            for policy in (Canonical, lambda: OrderedTieBreak(rank), lambda: SeededRandom(i)):
+                for t in (0, 1):
+                    try:
+                        if t:
+                            run = factorials_removed(src, t, n, policy(), record_trace=True)
+                        else:
+                            run = factorials_weighting(src, n, policy(), record_trace=True)
+                    except Exhausted as e:
+                        yield repr(e)
+                        continue
+                    yield repr((run.sequence.values, run.trace, run.weights))
+
+    def test_runs_match_the_pinned_digest(self):
+        outcomes = list(self.outcomes())
+        assert len(outcomes) == 64 * 6
+        assert sum(o.startswith("Exhausted(") for o in outcomes) > 20
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.DIGEST

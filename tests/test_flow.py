@@ -28,7 +28,6 @@ from treefactorials import (
     flow,
     laplacian_voltage_gap,
     random_walk_escape,
-    sources,
     unit_current_flow,
 )
 
@@ -127,13 +126,7 @@ class TestPerDepthSweep:
             assert self.check(src, 4) == 4
 
     def test_each_query_expands_once(self, monkeypatch):
-        calls = []
-
-        def counting(src, depth):
-            calls.append(depth)
-            return sources.expand(src, depth)
-
-        monkeypatch.setattr(flow, "expand", counting)
+        calls = helpers.count_calls(monkeypatch, flow, "expand")
         queries = (
             effective_resistance,
             unit_current_flow,
@@ -144,7 +137,7 @@ class TestPerDepthSweep:
             for src in (RegularSource(2), helpers.binary_tree(3)):
                 calls.clear()
                 query(src, 5)
-                assert calls == [5]
+                assert [depth for _, depth in calls] == [5]
 
 
 class TestLaplacianAgreement:
@@ -294,16 +287,9 @@ class TestBranching:
     def test_explicit_tree_evaluations_match_per_depth_calls(self, monkeypatch):
         tree = expand(SphericalSource((4, 3, 2)), 3)
         schedule = (2, 3, 64)
-        calls = []
-        real = flow.effective_resistance
-
-        def counting(src, depth):
-            calls.append(depth)
-            return real(src, depth)
-
-        monkeypatch.setattr(flow, "effective_resistance", counting)
+        calls = helpers.count_calls(monkeypatch, flow, "effective_resistance")
         rep = branching_number_estimate(tree, F(1), F(4), depth_schedule=schedule)
-        assert calls == [64] * len(rep.evaluations)
+        assert [depth for _, depth in calls] == [64] * len(rep.evaluations)
         monkeypatch.undo()
         want = []
         for lam, _, _ in rep.evaluations:
@@ -314,16 +300,10 @@ class TestBranching:
         assert list(rep.evaluations) == want
 
     def test_level_profile_read_once(self, monkeypatch):
-        calls = []
-
-        def counting(src, depth):
-            calls.append(depth)
-            return sources.level_profile(src, depth)
-
-        monkeypatch.setattr(flow, "level_profile", counting)
+        calls = helpers.count_calls(monkeypatch, flow, "level_profile")
         rep = branching_number_estimate(RegularSource(3), F(1), F(5))
         assert rep.status == "bracketed" and len(rep.evaluations) > 2
-        assert calls == [4096]
+        assert [depth for _, depth in calls] == [4096]
 
     def test_schedule_must_be_positive_and_sorted(self):
         for schedule in ((0, 3), (64, 16)):

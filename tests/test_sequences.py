@@ -4,7 +4,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from treefactorials import (
     FactorialSequence,
     RegularSource,
@@ -18,6 +21,32 @@ F = Fraction
 
 def seq(values, provenance="weighting"):
     return FactorialSequence(tuple(F(v) for v in values), provenance)
+
+
+def literal_gap(values):
+    """The definition, pair by pair in Fraction arithmetic."""
+    K = len(values)
+    for m in range(1, K):
+        for n in range(m, K - m):
+            if values[m + n] < values[m] + values[n]:
+                return (m, n)
+    return None
+
+
+@st.composite
+def long_fractional_sequences(draw):
+    """Sequences around the 1500-term switch to numpy, maybe with one term
+    moved down or up.  a_n = lam*n - c*(distance from n to the nearest
+    multiple of p) is superadditive, as that distance is subadditive, and
+    full of exact ties a_{m+n} = a_m + a_n."""
+    K = draw(st.integers(1450, 1550))
+    p = draw(st.integers(2, 9))
+    lam, c, delta = (F(draw(st.integers(1, 9)), draw(st.sampled_from((1, 2, 3, 5, 7)))) for _ in range(3))
+    values = [lam * n - c * min(n % p, -n % p) for n in range(K)]
+    move = draw(st.sampled_from((-1, 1, None)))
+    if move is not None:
+        values[draw(st.integers(1, K - 1))] += move * delta
+    return values
 
 
 class TestContainer:
@@ -69,6 +98,22 @@ class TestSuperadditivity:
     def test_long_sequence_fractional(self):
         vals = [F(n, 3) for n in range(2000)]
         assert superadditivity_gap(vals) is None
+
+    def test_long_fractional_sequence_without_numpy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        # Convex with a_0 = 0, hence superadditive: every pair is checked.
+        vals = [F(n * n, 7) + F(n, 3) for n in range(8001)]
+        with helpers.deadline(10):
+            assert superadditivity_gap(vals) is None
+
+    @settings(max_examples=6, deadline=None)
+    @given(long_fractional_sequences())
+    def test_int_loop_numpy_and_definition_agree(self, values):
+        want = literal_gap(values)
+        assert superadditivity_gap(values) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(sys.modules, "numpy", None)
+            assert superadditivity_gap(values) == want
 
     def test_weighting_output_is_superadditive(self):
         vals = factorials_weighting(RegularSource(3), 200).sequence.values
