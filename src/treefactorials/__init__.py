@@ -37,7 +37,6 @@ from .adelic import (
     factorials_prime,
     greedy_bhargava_oracle,
     legendre,
-    separating_depth,
 )
 from .flow import (
     BranchingReport,
@@ -64,7 +63,6 @@ from .realize import (
 from .sequences import FactorialSequence, LimitEstimate, limit_estimate, superadditivity_gap
 from .sources import (
     AdelicSetSource,
-    ExplicitSource,
     LambdaScaledSource,
     RegularSource,
     SphericalSource,
@@ -72,18 +70,15 @@ from .sources import (
     level_profile,
     parse_generator_spec,
 )
-from .trees import INF, RootedTree, canonical_form, canonical_skeleton, parse_tree_file, serialize_tree
+from .trees import INF, RootedTree, parse_tree_file, serialize_tree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "INF",
     "RootedTree",
-    "canonical_form",
-    "canonical_skeleton",
     "parse_tree_file",
     "serialize_tree",
-    "ExplicitSource",
     "RegularSource",
     "SphericalSource",
     "LambdaScaledSource",
@@ -106,7 +101,6 @@ __all__ = [
     "factorials_minmax",
     "capacity_bound",
     "legendre",
-    "separating_depth",
     "factorials_prime",
     "bhargava_factorials",
     "greedy_bhargava_oracle",

@@ -15,11 +15,10 @@ import math
 from .engine import Canonical, factorials_weighting
 from .errors import IndexOutOfRange, StructureError
 from .sequences import FactorialSequence
-from .sources import AdelicSetSource, _require_prime
+from .sources import AdelicSetSource
 
 __all__ = [
     "legendre",
-    "separating_depth",
     "factorials_prime",
     "bhargava_factorials",
     "greedy_bhargava_oracle",
@@ -49,28 +48,19 @@ def _val(p: int, x: int) -> int:
     return v
 
 
-def _check_set(elements) -> tuple[int, ...]:
+def _check_set(elements, n_max: int) -> tuple[int, ...]:
+    """The set sorted, once it is nonempty and distinct and 0 <= n_max <
+    |S|, the number of its factorial terms."""
     elems = tuple(sorted(elements))
     if not elems:
         raise StructureError("need a nonempty set of integers")
     if len(set(elems)) != len(elems):
         raise StructureError("set elements must be distinct")
+    if n_max < 0:
+        raise StructureError("n_max must be >= 0")
+    if n_max >= len(elems):
+        raise IndexOutOfRange(f"set has {len(elems)} boundary elements, requested index {n_max}")
     return elems
-
-
-def separating_depth(elements, p: int) -> int:
-    """Smallest h with all elements distinct mod p**h (1 for singletons).
-
-    Equals 1 + max valuation over pairwise differences, so it is bounded by
-    log_p(max difference) + 1.
-    """
-    elems = _check_set(elements)
-    _require_prime(p)
-    best = 0
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            best = max(best, _val(p, elems[j] - elems[i]))
-    return best + 1 if len(elems) > 1 else 1
 
 
 def factorials_prime(elements, p: int, n_max: int) -> FactorialSequence:
@@ -80,9 +70,7 @@ def factorials_prime(elements, p: int, n_max: int) -> FactorialSequence:
     At a prime p this is val_p(n!_S).  Any modulus p >= 2 gives a residue
     tree; bhargava_factorials runs it on the elements of a coprime base.
     """
-    elems = _check_set(elements)
-    if n_max >= len(elems):
-        raise IndexOutOfRange(f"set has {len(elems)} boundary elements, requested index {n_max}")
+    elems = _check_set(elements, n_max)
     source = AdelicSetSource(elems, p)
     run = factorials_weighting(source, n_max, Canonical())
     values = run.sequence.values
@@ -129,9 +117,7 @@ def bhargava_factorials(elements, n_max: int) -> list[int]:
     val_p(n!_S) = val_p(q) * e_q(n), and the p-parts over p | q multiply to
     q**e_q(n).
     """
-    elems = _check_set(elements)
-    if n_max >= len(elems):
-        raise IndexOutOfRange(f"set has {len(elems)} boundary elements, requested index {n_max}")
+    elems = _check_set(elements, n_max)
     out = [1] * (n_max + 1)
     for q in _difference_base(elems):
         seq = factorials_prime(elems, q, n_max)
@@ -149,9 +135,7 @@ def greedy_bhargava_oracle(elements, n_max: int) -> list[int]:
     everything chosen so far; that minimum is val_q(n!_S), the exponent of q
     in n!_S.
     """
-    elems = _check_set(elements)
-    if n_max >= len(elems):
-        raise IndexOutOfRange(f"set has {len(elems)} boundary elements, requested index {n_max}")
+    elems = _check_set(elements, n_max)
     out = [1] * (n_max + 1)
     for q in _difference_base(elems):
         chosen: list[int] = []

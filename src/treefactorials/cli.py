@@ -47,6 +47,18 @@ def _add_source_args(p: argparse.ArgumentParser, need_depth: bool = False) -> No
     )
 
 
+# argparse types: the ValueError of a malformed value is a usage error.
+def rational(text: str) -> Fraction:
+    try:
+        return parse_length(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
+def integer_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
 class _UnreadableInput(Exception):
     """An input file could not be read: exit code 2, like a usage error."""
 
@@ -126,13 +138,12 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_adelic(args) -> int:
-    elements = [int(tok) for tok in args.set.split(",") if tok.strip() != ""]
     if args.p is not None:
         _require_prime(args.p)
-        vals = adelic_mod.factorials_prime(elements, args.p, args.n)
+        vals = adelic_mod.factorials_prime(args.set, args.p, args.n)
         facts = [args.p ** int(v) for v in vals.values]
     else:
-        facts = adelic_mod.bhargava_factorials(elements, args.n)
+        facts = adelic_mod.bhargava_factorials(args.set, args.n)
     if args.csv:
         print("n,factorial")
         for n, v in enumerate(facts):
@@ -157,12 +168,13 @@ def _cmd_flow(args) -> int:
             f = fl.flows[v]
             print(f"{fl.tree.parents[v]},{v},{f.numerator},{f.denominator}")
         return 0
+    # The walk runs on the flow's own truncation, before any line is
+    # printed, so a rejected --trials prints none.
+    walk = flow_mod._walk(fl.tree, args.trials, args.seed or 0) if args.trials else None
     print(f"resistance = {_fmt(fl.energy, args.float)}")
     print(f"energy = {_fmt(fl.energy, args.float)}")
     print(f"escape = {_fmt(fl.escape, args.float)}")
-    if args.trials:
-        # The walk runs on the flow's own truncation, not a second expansion.
-        walk = flow_mod._walk(fl.tree, args.trials, args.seed or 0)
+    if walk is not None:
         print(
             f"escape_mc = {walk.fraction!r} (trials={walk.trials}, "
             f"timeouts={walk.timeouts})"
@@ -176,11 +188,7 @@ def _cmd_branching(args) -> int:
     if args.depth is not None:
         schedule = tuple(sorted({max(1, args.depth >> k) for k in (8, 6, 4, 2, 1, 0)}))
     report = flow_mod.branching_number_estimate(
-        source,
-        parse_length(args.lambda_lo),
-        parse_length(args.lambda_hi),
-        depth_schedule=schedule,
-        tol=parse_length(args.tol),
+        source, args.lambda_lo, args.lambda_hi, depth_schedule=schedule, tol=args.tol
     )
     for lam, verdict, last in report.evaluations:
         print(f"# lam={format_length(lam)}: {verdict} (R={last!r})")
@@ -202,7 +210,7 @@ def _parse_sequence_file(text: str, d: int) -> BiasedSequence:
         try:
             n, i = int(parts[0]), int(parts[1])
             value = parse_length(parts[2])
-        except (ValueError, ParseError):
+        except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad sequence row {line!r}", line=ln)
         rows.setdefault(n, {})[i] = value
     if not rows:
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("adelic", help="generalized factorials of an integer set")
-    p.add_argument("--set", required=True, metavar="A,B,...", help="comma-separated integers")
+    p.add_argument("--set", type=integer_list, required=True, metavar="A,B,...", help="comma-separated integers")
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--p",
@@ -326,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("branching", help="bracket the branching number")
     _add_source_args(p)
-    p.add_argument("--lambda-lo", required=True, metavar="L")
-    p.add_argument("--lambda-hi", required=True, metavar="L")
-    p.add_argument("--tol", default="1/20", help="bracket width target (default 1/20)")
+    p.add_argument("--lambda-lo", type=rational, required=True, metavar="L")
+    p.add_argument("--lambda-hi", type=rational, required=True, metavar="L")
+    p.add_argument("--tol", type=rational, default="1/20", help="bracket width target (default 1/20)")
     p.add_argument("--float", action="store_true")
     p.set_defaults(func=_cmd_branching)
 

@@ -138,16 +138,6 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
         return WeightingRun(seq, tuple(trace) if record_trace else None, weights, view)
 
     root_kids = view.children(0)
-    if not root_kids:
-        # Single-vertex tree: the root is its own leaf; capacity many zeros.
-        cap = view.capacity(0)
-        count = n_max + 1 if cap == INF else min(n_max + 1, int(cap))
-        for n in range(count):
-            values.append(zero)
-            if record_trace:
-                trace.append(TraceStep(n, 0, "init" if n == 0 else "2.2", tofrac(zero)))
-        return finish()
-
     values.append(zero)
     if record_trace:
         trace.append(TraceStep(0, 0, "init", tofrac(zero)))
@@ -181,14 +171,15 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
     length = view.length
     children = view.children
     key = policy.key
-    size = root_kids[-1] + 1
+    size = root_kids[-1] + 1 if root_kids else 1
     kids: list = [None] * size
     par: list = [None] * size
     elen: list = [None] * size
     room: list = [None] * size
     up: list = [None] * size
     kids[0] = root_kids
-    room[0] = len(root_kids)
+    # A single-vertex tree's root is its own leaf.
+    room[0] = len(root_kids) if root_kids else view.capacity(0) - 1
 
     def weigh_chain(start: int, first: int):
         """Give weight 1 to the strict path through edge (start, first),
@@ -227,7 +218,8 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
                 b = bc
         up[v] = ((w - t) * elen[v] + b[0], b[1], b[2]) if b is not None and w > t else b
 
-    weigh_chain(0, min(root_kids, key=key))
+    if root_kids:
+        weigh_chain(0, min(root_kids, key=key))
     recompute(0, 0)
 
     for n in range(1, n_max + 1):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .engine import WeightingRun
 from .errors import AllOpenCircuit, Inconclusive, StructureError
-from .sources import ExplicitSource, TreeSource, expand, level_profile, LambdaScaledSource
+from .sources import TreeSource, expand, level_profile, LambdaScaledSource
 from .trees import INF, RootedTree
 
 __all__ = [
@@ -38,10 +38,6 @@ __all__ = [
     "BranchingReport",
     "branching_number_estimate",
 ]
-
-
-def _as_source(source: TreeSource | RootedTree) -> TreeSource:
-    return ExplicitSource(source) if isinstance(source, RootedTree) else source
 
 
 def _subtree_resistances(tree: RootedTree, h: int) -> list[Fraction | None]:
@@ -83,7 +79,7 @@ def _network(source: TreeSource | RootedTree, depth: int) -> tuple[RootedTree, l
     AllOpenCircuit when no leaf is grounded."""
     if depth < 1:
         raise StructureError("depth must be >= 1")
-    tree = expand(_as_source(source), depth)
+    tree = expand(source, depth)
     r = _subtree_resistances(tree, depth)
     if r[0] is None:
         # A cut vertex is grounded, so an open truncation cuts none: the
@@ -237,9 +233,6 @@ class EquidistributionReport:
     rows: tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]
     max_deviation: Fraction
 
-    def max_deviation_float(self) -> float:
-        return float(self.max_deviation)
-
 
 def equidistribution_check(
     run: WeightingRun, flow: FlowAssignment, max_depth: int
@@ -317,6 +310,8 @@ def random_walk_escape(
 
 def _walk(tree: RootedTree, trials: int, seed: int, max_steps: int = _MAX_STEPS) -> WalkResult:
     """random_walk_escape on an already grounded truncation."""
+    if trials < 1:
+        raise StructureError("trials must be >= 1")
     n = len(tree.parents)
     neighbors: list[list[int]] = [[] for _ in range(n)]
     cumulative: list[list[float]] = [[] for _ in range(n)]
@@ -430,7 +425,6 @@ def branching_number_estimate(
     interval to that endpoint.  An unclassifiable candidate raises
     Inconclusive rather than guessing.
     """
-    base = _as_source(source)
     lo, hi = Fraction(lam_lo), Fraction(lam_hi)
     if not 0 < lo < hi:
         raise StructureError("need 0 < lam_lo < lam_hi")
@@ -440,12 +434,12 @@ def branching_number_estimate(
     tol = Fraction(tol)
     res_tol = float(tol) / 8
     threshold = 10**6
-    profile = level_profile(base, schedule[-1])
+    profile = level_profile(source, schedule[-1])
     counts = None if profile is None else [count for count, _ in profile]
     evals: list[tuple[Fraction, str, float]] = []
 
     def classify(lam: Fraction) -> str:
-        verdict, last = _classify(base, counts, lam, schedule, res_tol, threshold)
+        verdict, last = _classify(source, counts, lam, schedule, res_tol, threshold)
         evals.append((lam, verdict, last))
         if verdict == "inconclusive":
             raise Inconclusive(f"resistance at lam={lam} neither settles nor diverges over the schedule")

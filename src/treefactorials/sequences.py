@@ -24,8 +24,11 @@ class FactorialSequence:
     def __getitem__(self, i):
         return self.values[i]
 
-    def floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.values)
+
+def _scaled(values) -> tuple[list[int], int]:
+    """The values times their common denominator, and that denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _int64_array(scaled):
@@ -50,8 +53,7 @@ def superadditivity_gap(values) -> tuple[int, int] | None:
     no pairwise sum wraps; otherwise by an exact loop over Python ints.
     """
     K = len(values)
-    den = lcm(*(v.denominator for v in values))
-    a = [v.numerator * (den // v.denominator) for v in values]
+    a, _ = _scaled(values)
     arr = _int64_array(a) if K > 1500 else None
     if arr is None:
         for m in range(1, (K + 1) // 2):
@@ -83,27 +85,28 @@ class LimitEstimate:
     likely_divergent: bool
 
 
-def limit_estimate(
-    seq: FactorialSequence,
-    tail_window: int | None = None,
-    slope_threshold: Fraction = Fraction(1, 100),
-) -> LimitEstimate:
-    """Estimate lim a_n/n from a finite prefix.
+def limit_estimate(seq: FactorialSequence) -> LimitEstimate:
+    """Estimate lim a_n/n from a finite prefix a_0..a_K.
 
-    value is a_K/K at the last index; lower_bound is max a_k/k (every such
-    ratio bounds the limit from below for superadditive sequences); the
-    sequence is flagged likely-divergent when a_n/n is still climbing by more
-    than slope_threshold across the tail window.
+    value is a_K/K; lower_bound is max a_k/k (every such ratio bounds the
+    limit from below for superadditive sequences); the sequence is flagged
+    likely-divergent when a_n/n still climbs by more than 1/100 across the
+    tail window, the last max(1, K // 4) indices.
     """
     values = seq.values
     K = len(values) - 1
     if K < 1:
         raise ValueError("need at least two terms to estimate a limit")
-    if tail_window is None:
-        tail_window = max(1, K // 4)
-    tail_window = min(tail_window, K - 1) or 1
+    tail_window = max(1, K // 4)
     value = values[K] / K
-    lower = max(values[k] / k for k in range(1, K + 1))
+    # The largest a_k/k, found by comparing a_k * j with a_j * k on the
+    # scaled integers, so no quotient is reduced until the last.
+    a, den = _scaled(values)
+    best = 1
+    for k in range(2, K + 1):
+        if a[k] * best > a[best] * k:
+            best = k
+    lower = Fraction(a[best], best * den)
     start = K - tail_window
     climb = value - (values[start] / start if start >= 1 else Fraction(0))
-    return LimitEstimate(value, lower, tail_window, climb > slope_threshold)
+    return LimitEstimate(value, lower, tail_window, climb > Fraction(1, 100))

@@ -8,17 +8,15 @@ materializes children on demand under a safety budget.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthBudgetExceeded, ParseError, StructureError
-from .trees import INF, Capacity, RootedTree, parse_length
+from .trees import INF, Capacity, RootedTree, _denominator_lcm, parse_length
 
 __all__ = [
     "TreeSource",
-    "ExplicitSource",
     "RegularSource",
     "SphericalSource",
     "LambdaScaledSource",
@@ -35,17 +33,13 @@ __all__ = [
 DEFAULT_BUDGET = 10**6
 
 
-def _denominator_lcm(lengths) -> int:
-    """Least common multiple of the denominators of `lengths` (1 when empty)."""
-    return math.lcm(*(x.denominator for x in lengths))
-
-
 class TreeSource:
     """Rule producing a rooted metric tree level by level.
 
     Subclasses implement a tiny protocol over opaque node states: the root
     state, each state's children as (edge length, child state) pairs, and the
     capacity when a state is a leaf of the underlying tree (None otherwise).
+    A RootedTree implements the same protocol over its node ids.
     """
 
     def root_state(self):
@@ -63,24 +57,6 @@ class TreeSource:
         or None when no finite common denominator is known.  Lets exact
         consumers run on machine integers instead of rationals."""
         return None
-
-
-@dataclass(frozen=True)
-class ExplicitSource(TreeSource):
-    tree: RootedTree
-
-    def root_state(self):
-        return 0
-
-    def state_children(self, state, depth):
-        t = self.tree
-        return [(t.lengths[c], c) for c in t.children[state]]
-
-    def state_capacity(self, state, depth):
-        return self.tree.capacities[state]
-
-    def length_scale(self):
-        return _denominator_lcm(self.tree.lengths[1:])
 
 
 @dataclass(frozen=True)
@@ -307,23 +283,17 @@ class ExplicitView:
     def children(self, v: int) -> tuple[int, ...]:
         return self.tree.children[v]
 
-    def parent(self, v: int) -> int:
-        return self.tree.parents[v]
-
     def length(self, v: int) -> Fraction:
         return self.tree.lengths[v]
 
     def capacity(self, v: int) -> Capacity | None:
         return self.tree.capacities[v]
 
-    def depth(self, v: int) -> int:
-        return self.tree.depths[v]
-
     def address(self, v: int) -> tuple[int, ...]:
         return self.tree.addresses[v]
 
-    def length_scale(self) -> int | None:
-        return _denominator_lcm(self.tree.lengths[1:])
+    def length_scale(self) -> int:
+        return self.tree.length_scale()
 
 
 class LazyView:
@@ -365,17 +335,11 @@ class LazyView:
         self._children[v] = kids
         return kids
 
-    def parent(self, v: int) -> int:
-        return self._parents[v]
-
     def length(self, v: int) -> Fraction:
         return self._lengths[v]
 
     def capacity(self, v: int) -> Capacity | None:
         return self.source.state_capacity(self._states[v], self._depths[v])
-
-    def depth(self, v: int) -> int:
-        return self._depths[v]
 
     def address(self, v: int) -> tuple[int, ...]:
         # Reconstructed on demand: storing every node's address outright
@@ -397,8 +361,6 @@ def view_of(source_or_tree, budget: int = DEFAULT_BUDGET):
     """Explicit inputs keep their ids; generated ones get a lazy view."""
     if isinstance(source_or_tree, RootedTree):
         return ExplicitView(source_or_tree)
-    if isinstance(source_or_tree, ExplicitSource):
-        return ExplicitView(source_or_tree.tree)
     return LazyView(source_or_tree, budget)
 
 

@@ -23,8 +23,6 @@ __all__ = [
     "serialize_tree",
     "parse_length",
     "format_length",
-    "canonical_skeleton",
-    "canonical_form",
 ]
 
 INF = math.inf
@@ -37,6 +35,11 @@ def _valid_capacity(c) -> bool:
     return c == INF or (isinstance(c, int) and not isinstance(c, bool) and c >= 1)
 
 
+def _denominator_lcm(lengths) -> int:
+    """Least common multiple of the denominators of `lengths` (1 when empty)."""
+    return math.lcm(*(x.denominator for x in lengths))
+
+
 @dataclass(frozen=True)
 class RootedTree:
     """Immutable rooted metric tree with capacities on leaves.
@@ -44,6 +47,10 @@ class RootedTree:
     parents[0] == -1 marks the root; lengths[0] is None.  capacities[v] is
     None exactly when v is an internal vertex (a single-vertex tree has a
     capacity on the root, which counts as a leaf there).
+
+    A tree is also a tree source (the protocol of `sources.TreeSource`,
+    which it does not subclass because `sources` imports this module) whose
+    states are its node ids, so everything that takes a source takes a tree.
     """
 
     parents: tuple[int, ...]
@@ -109,14 +116,6 @@ class RootedTree:
         path.reverse()
         return path
 
-    def path_length(self, v: int) -> Fraction:
-        """Plain metric length of the segment [root, v]."""
-        total = Fraction(0)
-        while v != 0:
-            total += self.lengths[v]
-            v = self.parents[v]
-        return total
-
     @cached_property
     def addresses(self) -> tuple[tuple[int, ...], ...]:
         """Per node, the path of child indices from the root.
@@ -129,6 +128,18 @@ class RootedTree:
             for i, c in enumerate(self.children[v]):
                 addr[c] = addr[v] + (i,)
         return tuple(addr)
+
+    def root_state(self) -> int:
+        return 0
+
+    def state_children(self, state: int, depth: int) -> list[tuple[Fraction, int]]:
+        return [(self.lengths[c], c) for c in self.children[state]]
+
+    def state_capacity(self, state: int, depth: int) -> Capacity | None:
+        return self.capacities[state]
+
+    def length_scale(self) -> int:
+        return _denominator_lcm(self.lengths[1:])
 
     @classmethod
     def build(cls, parents, lengths, capacities=None) -> "RootedTree":
@@ -257,52 +268,3 @@ def serialize_tree(tree: RootedTree) -> str:
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
-
-def canonical_skeleton(tree: RootedTree) -> RootedTree:
-    """Suppress non-root valence-2 vertices, summing lengths through them.
-
-    Two subdivisions of the same metric tree map to the same skeleton.  The
-    operation is idempotent; leaf capacities are preserved and ids are
-    renumbered breadth first.
-    """
-    new_parent: dict[int, int] = {0: -1}
-    new_length: dict[int, Fraction] = {}
-    order = [0]
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for c in tree.children[u]:
-            # Slide through chains of single-child internal vertices.
-            length = tree.lengths[c]
-            v = c
-            while len(tree.children[v]) == 1:
-                (w,) = tree.children[v]
-                length += tree.lengths[w]
-                v = w
-            new_parent[v] = u
-            new_length[v] = length
-            order.append(v)
-            queue.append(v)
-    renum = {old: new for new, old in enumerate(order)}
-    parents = tuple(-1 if old == 0 else renum[new_parent[old]] for old in order)
-    lengths = tuple(None if old == 0 else new_length[old] for old in order)
-    capacities = tuple(tree.capacities[old] for old in order)
-    return RootedTree(parents, lengths, capacities)
-
-
-def canonical_form(tree: RootedTree) -> str:
-    """Order-independent encoding; equal strings mean isomorphic rooted
-    metric trees (same lengths and capacities up to child permutation)."""
-    # Ids are topological, so every child is encoded before its parent.
-    codes: list = [None] * len(tree)
-    for v in range(len(tree) - 1, -1, -1):
-        kids = tree.children[v]
-        if not kids:
-            cap = tree.capacities[v]
-            codes[v] = f"L{'inf' if cap == INF else cap}"
-            continue
-        parts = sorted((tree.lengths[c], codes[c]) for c in kids)
-        for c in kids:
-            codes[c] = None
-        codes[v] = "(" + ",".join(f"{format_length(ln)}:{sub}" for ln, sub in parts) + ")"
-    return codes[0]

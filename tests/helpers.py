@@ -1,4 +1,5 @@
-"""Tree builders and the small-tree enumeration corpus shared by the tests."""
+"""Tree builders, canonical forms and the small-tree enumeration corpus
+shared by the tests."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from treefactorials import INF, RootedTree, canonical_form
+from treefactorials import INF, RootedTree
+from treefactorials.trees import format_length
 
 LENGTHS3 = (Fraction(1), Fraction(3, 2), Fraction(2))
 CAPS3 = (1, 2, INF)
@@ -86,6 +88,56 @@ def subdivide(tree: RootedTree, v: int, ratio=Fraction(1, 3)) -> RootedTree:
         if tree.capacities[u] is not None:
             caps[shift(u) if u != v else u + 1] = tree.capacities[u]
     return build(parents, lengths, caps)
+
+
+def canonical_skeleton(tree: RootedTree) -> RootedTree:
+    """Suppress non-root valence-2 vertices, summing lengths through them.
+
+    Two subdivisions of the same metric tree map to the same skeleton.  The
+    operation is idempotent; leaf capacities are preserved and ids are
+    renumbered breadth first.
+    """
+    new_parent: dict[int, int] = {0: -1}
+    new_length: dict[int, Fraction] = {}
+    order = [0]
+    queue = [0]
+    while queue:
+        u = queue.pop(0)
+        for c in tree.children[u]:
+            # Slide through chains of single-child internal vertices.
+            length = tree.lengths[c]
+            v = c
+            while len(tree.children[v]) == 1:
+                (w,) = tree.children[v]
+                length += tree.lengths[w]
+                v = w
+            new_parent[v] = u
+            new_length[v] = length
+            order.append(v)
+            queue.append(v)
+    renum = {old: new for new, old in enumerate(order)}
+    parents = tuple(-1 if old == 0 else renum[new_parent[old]] for old in order)
+    lengths = tuple(None if old == 0 else new_length[old] for old in order)
+    capacities = tuple(tree.capacities[old] for old in order)
+    return RootedTree(parents, lengths, capacities)
+
+
+def canonical_form(tree: RootedTree) -> str:
+    """Order-independent encoding; equal strings mean isomorphic rooted
+    metric trees (same lengths and capacities up to child permutation)."""
+    # Ids are topological, so every child is encoded before its parent.
+    codes: list = [None] * len(tree)
+    for v in range(len(tree) - 1, -1, -1):
+        kids = tree.children[v]
+        if not kids:
+            cap = tree.capacities[v]
+            codes[v] = f"L{'inf' if cap == INF else cap}"
+            continue
+        parts = sorted((tree.lengths[c], codes[c]) for c in kids)
+        for c in kids:
+            codes[c] = None
+        codes[v] = "(" + ",".join(f"{format_length(ln)}:{sub}" for ln, sub in parts) + ")"
+    return codes[0]
 
 
 @contextlib.contextmanager

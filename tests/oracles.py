@@ -250,6 +250,13 @@ def _valuation(x: int, p: int) -> int:
     return v
 
 
+def separating_depth(elements, p: int) -> int:
+    """Smallest h with all elements distinct mod p**h (1 for singletons):
+    1 + the largest val_p of a pairwise difference."""
+    pairs = itertools.combinations(elements, 2)
+    return 1 + max((_valuation(b - a, p) for a, b in pairs), default=0)
+
+
 def _primes_dividing(x: int) -> set[int]:
     x = abs(x)
     out = set()

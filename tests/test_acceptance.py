@@ -36,7 +36,6 @@ from treefactorials.flow import (
 )
 from treefactorials.realize import OrderChoice, verify_roundtrip
 from treefactorials.sources import RegularSource
-from treefactorials.trees import canonical_form, canonical_skeleton
 
 # Sequences recorded for the criterion-6 sweep.  Values are stored as floats:
 # every sequence below has terms in (1/2)Z far under 2**53, so float64 holds
@@ -193,8 +192,8 @@ def test_criterion_09_realizability_roundtrip():
             assert all(x.denominator == 1 for x in report.tree.lengths[1:])
     plain = verify_roundtrip(TWINS)
     swapped = verify_roundtrip(TWINS, OrderChoice({2: (0, 2, 1, 3)}))
-    key_a = canonical_form(canonical_skeleton(plain.tree))
-    key_b = canonical_form(canonical_skeleton(swapped.tree))
+    key_a = helpers.canonical_form(helpers.canonical_skeleton(plain.tree))
+    key_b = helpers.canonical_form(helpers.canonical_skeleton(swapped.tree))
     assert key_a != key_b
     assert time.perf_counter() - t0 < 30
 

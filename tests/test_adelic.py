@@ -21,7 +21,6 @@ from treefactorials import (
     greedy_bhargava_oracle,
     legendre,
     parse_generator_spec,
-    separating_depth,
     superadditivity_gap,
 )
 from treefactorials.adelic import _coprime_base
@@ -135,13 +134,13 @@ class TestCoprimeBase:
 
 class TestSeparatingDepth:
     def test_powers_of_p(self):
-        assert separating_depth((0, 8), 2) == 4
-        assert separating_depth((0, 1), 2) == 1
-        assert separating_depth((5,), 2) == 1
+        assert oracles.separating_depth((0, 8), 2) == 4
+        assert oracles.separating_depth((0, 1), 2) == 1
+        assert oracles.separating_depth((5,), 2) == 1
 
     @given(small_sets, st.sampled_from([2, 3, 5]))
     def test_separates(self, s, p):
-        h = separating_depth(s, p)
+        h = oracles.separating_depth(s, p)
         assert len({x % p**h for x in s}) == len(s)
 
 
@@ -217,6 +216,12 @@ class TestBhargava:
     def test_rejects_duplicates(self):
         with pytest.raises(StructureError):
             bhargava_factorials((1, 1, 2), 1)
+
+    @pytest.mark.parametrize("fn", [bhargava_factorials, greedy_bhargava_oracle])
+    def test_rejects_negative_n(self, fn):
+        # (0, 1) has no difference above 1, so no per-modulus run checks n.
+        with pytest.raises(StructureError):
+            fn((0, 1), -1)
 
     def test_matches_per_prime_reference(self):
         rng = random.Random(20261018)

@@ -124,6 +124,11 @@ class TestAdelic:
         assert code == 1
         assert err.startswith("IndexOutOfRange:")
 
+    def test_negative_n_is_domain_error(self):
+        code, out, err = run_cli("adelic", "--set", "0,1", "--n", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("StructureError:")
+
     def test_large_prime_part_is_fast(self):
         with helpers.deadline(2):
             code, out, _ = run_cli("adelic", "--set", "0,1,2", "--p", str(2**61 - 1), "--n", "2")
@@ -184,6 +189,13 @@ class TestFlow:
         code, _, err = run_cli("flow", "--tree", star3, "--depth", "2")
         assert code == 1
         assert err.startswith("AllOpenCircuit:")
+
+    def test_negative_trials_is_domain_error(self):
+        code, out, err = run_cli("flow", "--gen", "regular d=2", "--depth", "3", "--trials", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("StructureError:")
+        code, out, _ = run_cli("flow", "--gen", "regular d=2", "--depth", "3", "--trials", "0")
+        assert code == 0 and "escape = 4/7" in out and "escape_mc" not in out
 
     def test_one_expansion_per_run(self, monkeypatch):
         calls = helpers.count_calls(monkeypatch, flow, "expand")
@@ -248,6 +260,12 @@ class TestRealize:
         assert code == 1
         assert err.startswith("NotBiased:")
 
+    def test_zero_denominator_is_a_parse_error(self, tmp_path):
+        path = self.seq_file(tmp_path, ["0,1,0", "0,2,1/0"])
+        code, _, err = run_cli("realize", "--d", "2", "--seq", path)
+        assert code == 1
+        assert err.startswith("ParseError:")
+
     def test_bad_rows_are_parse_errors(self, tmp_path):
         path = self.seq_file(tmp_path, ["0,1,0", "0,2,0", "1,1"])
         code, _, err = run_cli("realize", "--d", "2", "--seq", path)
@@ -303,6 +321,21 @@ class TestExitCodes:
     def test_usage_error(self):
         with pytest.raises(SystemExit) as e:
             run_cli("factorials", "--n", "3")
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("branching", "--gen", "regular d=2", "--lambda-lo", "x", "--lambda-hi", "2"),
+            ("branching", "--gen", "regular d=2", "--lambda-lo", "1/0", "--lambda-hi", "2"),
+            ("branching", "--gen", "regular d=2", "--lambda-lo", "1", "--lambda-hi", "2", "--tol", "1/0"),
+            ("adelic", "--set", "a,b", "--n", "1"),
+        ],
+        ids=["lambda-junk", "lambda-zero-denominator", "tol-zero-denominator", "set-junk"],
+    )
+    def test_malformed_number_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as e:
+            run_cli(*argv)
         assert e.value.code == 2
 
     def test_tree_and_gen_conflict(self, star3):

@@ -15,7 +15,6 @@ from treefactorials import (
     AdelicSetSource,
     Canonical,
     Exhausted,
-    ExplicitSource,
     IndexOutOfRange,
     LambdaScaledSource,
     OrderedTieBreak,
@@ -24,7 +23,6 @@ from treefactorials import (
     SeededRandom,
     SphericalSource,
     StructureError,
-    canonical_skeleton,
     capacity_bound,
     factorials_greedy_oracle,
     factorials_minmax,
@@ -37,7 +35,7 @@ F = Fraction
 
 
 def weighting_values(tree, n_max, policy=None, **kw):
-    return factorials_weighting(ExplicitSource(tree), n_max, policy, **kw).sequence.values
+    return factorials_weighting(tree, n_max, policy, **kw).sequence.values
 
 
 class TestKnownSequences:
@@ -163,11 +161,11 @@ class TestOracleEquivalence:
 
     def test_seeded_policy_reproducible(self):
         t = helpers.binary_tree(3)
-        a = factorials_weighting(ExplicitSource(t), 20, SeededRandom(9), record_trace=True)
-        b = factorials_weighting(ExplicitSource(t), 20, SeededRandom(9), record_trace=True)
+        a = factorials_weighting(t, 20, SeededRandom(9), record_trace=True)
+        b = factorials_weighting(t, 20, SeededRandom(9), record_trace=True)
         assert a.trace == b.trace
         # a key that ignored the seed would give every seed the same trace
-        c = factorials_weighting(ExplicitSource(t), 20, SeededRandom(10), record_trace=True)
+        c = factorials_weighting(t, 20, SeededRandom(10), record_trace=True)
         assert c.sequence.values == a.sequence.values
         assert c.trace != a.trace
 
@@ -194,7 +192,7 @@ class TestSequenceProperties:
     @settings(max_examples=40, deadline=None)
     @given(helpers.small_trees(max_edges=6))
     def test_skeleton_preserves_factorials(self, t):
-        sk = canonical_skeleton(t)
+        sk = helpers.canonical_skeleton(t)
         assert weighting_values(t, 12) == weighting_values(sk, 12)
 
     def test_skeleton_preserves_factorials_subdivided(self):
@@ -220,7 +218,7 @@ class TestSequenceProperties:
     @given(helpers.small_trees(max_edges=6))
     def test_exhaustive_coverage_below_the_last_value(self, t):
         """Vertices strictly closer than a_n are fully explored by step n."""
-        run = factorials_weighting(ExplicitSource(t), 10)
+        run = factorials_weighting(t, 10)
         vals = run.sequence.values
         a_last = vals[-1]
         weighted = run.weights
@@ -265,7 +263,7 @@ class TestPartialUnitFlow:
     @settings(max_examples=60, deadline=None)
     @given(helpers.small_trees(max_edges=6))
     def test_conservation_and_total(self, t):
-        run = factorials_weighting(ExplicitSource(t), 12)
+        run = factorials_weighting(t, 12)
         w = run.weights
         # total at the root counts one unit per step
         assert sum(w[c] for c in t.children[0] if c in w) == run.steps
@@ -289,7 +287,7 @@ class TestPartialUnitFlow:
 class TestTrace:
     def test_trace_structure(self):
         t = helpers.binary_tree(2)
-        run = factorials_weighting(ExplicitSource(t), 6, record_trace=True)
+        run = factorials_weighting(t, 6, record_trace=True)
         assert run.trace is not None
         assert run.trace[0].case == "init"
         assert all(s.case in {"1", "2.1", "2.2"} for s in run.trace[1:])
@@ -307,18 +305,18 @@ class TestTrace:
 class TestRemovedVariant:
     def test_t0_equals_greedy(self):
         t = helpers.star([1, F(3, 2)], [2, INF])
-        a = factorials_removed(ExplicitSource(t), 0, 8).sequence.values
+        a = factorials_removed(t, 0, 8).sequence.values
         b = factorials_greedy_oracle(t, 8).values
         assert a == b
 
     def test_single_path_t1(self):
         t = helpers.single_edge(1, INF)
-        vals = factorials_removed(ExplicitSource(t), 1, 10).sequence.values
+        vals = factorials_removed(t, 1, 10).sequence.values
         assert vals == tuple(max(n - 1, 0) for n in range(11))
 
     def test_single_path_t1_scales_with_length(self):
         t = helpers.single_edge(3, INF)
-        vals = factorials_removed(ExplicitSource(t), 1, 6).sequence.values
+        vals = factorials_removed(t, 1, 6).sequence.values
         assert vals == tuple(3 * max(n - 1, 0) for n in range(7))
 
     def test_binary_frozen_prefixes(self):
@@ -344,15 +342,15 @@ class TestRemovedVariant:
                 expected = oracles.removed_greedy(t, tt, n_max)
             except oracles.OracleExhausted:
                 with pytest.raises(Exhausted):
-                    factorials_removed(ExplicitSource(t), tt, n_max)
+                    factorials_removed(t, tt, n_max)
                 continue
-            got = factorials_removed(ExplicitSource(t), tt, n_max).sequence.values
+            got = factorials_removed(t, tt, n_max).sequence.values
             assert list(got) == expected
 
     def test_exhausted_when_capacity_runs_out(self):
         t = helpers.star([1, 2, 3], [1, 1, 1])
         with pytest.raises(Exhausted):
-            factorials_removed(ExplicitSource(t), 1, 5)
+            factorials_removed(t, 1, 5)
 
 
 class TestTieBreakPolicies:
@@ -376,8 +374,8 @@ class TestTieBreakPolicies:
 
     def test_ordered_tie_break_follows_rank(self):
         t = helpers.star([1, 1, 1], [INF, INF, INF])
-        fwd = factorials_weighting(ExplicitSource(t), 6, OrderedTieBreak({1: 0, 2: 1, 3: 2}), record_trace=True)
-        rev = factorials_weighting(ExplicitSource(t), 6, OrderedTieBreak({1: 2, 2: 1, 3: 0}), record_trace=True)
+        fwd = factorials_weighting(t, 6, OrderedTieBreak({1: 0, 2: 1, 3: 2}), record_trace=True)
+        rev = factorials_weighting(t, 6, OrderedTieBreak({1: 2, 2: 1, 3: 0}), record_trace=True)
         assert fwd.sequence.values == rev.sequence.values
         assert fwd.trace != rev.trace
 
@@ -394,7 +392,7 @@ class TestGoldenTraces:
         inputs = []
         for _ in range(60):
             tree = helpers.random_tree(rng, max_edges=13, lengths=(F(1), F(2), F(1, 2), F(3, 2)), caps=(1, 2, 3, INF))
-            inputs.append((ExplicitSource(tree), 25, len(tree)))
+            inputs.append((tree, 25, len(tree)))
         for src in (
             RegularSource(2),
             SphericalSource((2, 3), (F(1, 2), F(2, 3))),
@@ -424,3 +422,32 @@ class TestGoldenTraces:
         assert sum(o.startswith("Exhausted(") for o in outcomes) > 20
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
         assert digest == self.DIGEST
+
+    SINGLE_VERTEX_DIGEST = "6267c9ae3fda9df261c7b7405c62a0ea0d235431994341cec70ff964429add5a"
+
+    @staticmethod
+    def single_vertex_outcomes():
+        # The root is the tree's only leaf, so every term is 0 and the
+        # root is chosen up to its capacity.
+        sources = [RootedTree.build((-1,), (0,), {0: cap}) for cap in (1, 2, 3, INF)]
+        sources.append(SphericalSource((0,)))
+        for src in sources:
+            for n in range(7):
+                for policy in (Canonical, lambda: SeededRandom(n)):
+                    for t in (None, 0, 1, 2):
+                        try:
+                            if t is None:
+                                run = factorials_weighting(src, n, policy(), record_trace=True)
+                            else:
+                                run = factorials_removed(src, t, n, policy(), record_trace=True)
+                        except Exhausted as e:
+                            yield repr(e)
+                            continue
+                        yield repr((run.sequence.values, run.trace, run.weights))
+
+    def test_single_vertex_runs_match_the_pinned_digest(self):
+        outcomes = list(self.single_vertex_outcomes())
+        assert len(outcomes) == 5 * 7 * 2 * 4
+        assert sum(o.startswith("Exhausted(") for o in outcomes) > 20
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.SINGLE_VERTEX_DIGEST

@@ -12,7 +12,6 @@ from treefactorials import (
     INF,
     AdelicSetSource,
     AllOpenCircuit,
-    ExplicitSource,
     Inconclusive,
     LambdaScaledSource,
     RegularSource,
@@ -118,7 +117,7 @@ class TestPerDepthSweep:
         checked = 0
         for _ in range(60):
             t = helpers.random_tree(rng, max_edges=9, require_inf=True)
-            checked += self.check(ExplicitSource(t), max(t.depths) + 2)
+            checked += self.check(t, max(t.depths) + 2)
         assert checked >= 150
 
     def test_lazy_sources(self):
@@ -198,7 +197,7 @@ class TestEquidistribution:
         t = helpers.two_leaf_star()
         fl = unit_current_flow(t, 1)
         for n in (1, 2, 9, 100):
-            run = factorials_weighting(ExplicitSource(t), n)
+            run = factorials_weighting(t, n)
             rep = equidistribution_check(run, fl, 1)
             assert rep.max_deviation <= F(1, 2 * rep.steps)
 
@@ -212,7 +211,7 @@ class TestEquidistribution:
         run = factorials_weighting(RegularSource(2), 2**10)
         fl = unit_current_flow(RegularSource(2), 3)
         rep = equidistribution_check(run, fl, 3)
-        assert rep.max_deviation_float() < 0.01
+        assert float(rep.max_deviation) < 0.01
 
 
 class TestEscape:
@@ -236,6 +235,11 @@ class TestEscape:
         w = random_walk_escape(RegularSource(1), 10, trials=10**4, seed=11)
         sigma = math.sqrt(float(p) * (1 - float(p)) / 10**4)
         assert abs(w.fraction - float(p)) <= 3 * sigma
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_walk_needs_a_trial(self, trials):
+        with pytest.raises(StructureError):
+            random_walk_escape(RegularSource(2), 3, trials=trials, seed=1)
 
     def test_timeouts_reported(self):
         w = random_walk_escape(RegularSource(2), 3, trials=200, seed=4, max_steps=2)
@@ -293,7 +297,7 @@ class TestBranching:
         monkeypatch.undo()
         want = []
         for lam, _, _ in rep.evaluations:
-            scaled = LambdaScaledSource(ExplicitSource(tree), lam)
+            scaled = LambdaScaledSource(tree, lam)
             values = [float(effective_resistance(scaled, h).value) for h in schedule]
             assert values[0] < values[1] == values[2]
             want.append((lam, "convergent", values[-1]))

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import canonical_form, canonical_skeleton
 from treefactorials import (
     BiasedSequence,
     Mismatch,
     NotBiased,
     OrderChoice,
     StructureError,
-    canonical_form,
-    canonical_skeleton,
     is_sufficiently_biased,
     realize_lengths,
     verify_roundtrip,

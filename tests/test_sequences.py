@@ -54,7 +54,7 @@ class TestContainer:
         s = seq([0, F(1, 2), 2])
         assert len(s) == 3
         assert s[1] == F(1, 2)
-        assert s.floats() == (0.0, 0.5, 2.0)
+        assert tuple(map(float, s)) == (0.0, 0.5, 2.0)
 
     def test_provenance_label(self):
         run = factorials_weighting(RegularSource(2), 4)
@@ -137,6 +137,11 @@ class TestLimitEstimate:
         est = limit_estimate(seq([0, 5, 5, 5, 5, 5, 5, 5]))
         assert est.lower_bound == 5
         assert est.value == F(5, 7)
+
+    @given(st.lists(st.fractions(-50, 50, max_denominator=12), min_size=2, max_size=40))
+    def test_lower_bound_is_the_literal_max(self, values):
+        est = limit_estimate(seq(values))
+        assert est.lower_bound == max(values[k] / k for k in range(1, len(values)))
 
     def test_divergent_flagged(self):
         vals = [F(n * n, 100) for n in range(200)]

@@ -8,7 +8,6 @@ import helpers
 from treefactorials import (
     INF,
     AdelicSetSource,
-    ExplicitSource,
     LambdaScaledSource,
     ParseError,
     RegularSource,
@@ -44,11 +43,11 @@ class TestExpand:
 
     def test_explicit_source_reproduces_tree(self):
         tree = helpers.star([1, Fraction(3, 2)], [2, INF])
-        assert expand(ExplicitSource(tree), 5) == tree
+        assert expand(tree, 5) == tree
 
     def test_explicit_source_truncation_marks_cut_inf(self):
         tree = helpers.path_tree([1, 1, 1], cap=1)
-        cut = expand(ExplicitSource(tree), 2)
+        cut = expand(tree, 2)
         assert len(cut) == 3
         assert cut.capacities[2] == INF
 
@@ -117,7 +116,7 @@ class TestLevelProfile:
 
     def test_non_symmetric_returns_none(self):
         tree = helpers.star([1, 2], [INF, INF])
-        assert level_profile(ExplicitSource(tree), 2) is None
+        assert level_profile(tree, 2) is None
 
 
 class TestGeneratorSpec:
