@@ -67,7 +67,7 @@ from .sources import (
     RegularSource,
     SphericalSource,
     expand,
-    level_profile,
+    level_branching,
     parse_generator_spec,
 )
 from .trees import INF, RootedTree, parse_tree_file, serialize_tree
@@ -84,7 +84,7 @@ __all__ = [
     "LambdaScaledSource",
     "AdelicSetSource",
     "expand",
-    "level_profile",
+    "level_branching",
     "parse_generator_spec",
     "FactorialSequence",
     "LimitEstimate",

@@ -34,27 +34,19 @@ from .sources import _require_prime, expand, parse_generator_spec
 from .trees import INF, format_length, parse_length, parse_tree_file, serialize_tree
 
 
-def _add_source_args(p: argparse.ArgumentParser, need_depth: bool = False) -> None:
+_TRUNCATION = "truncation depth (default: a tree file's height; required with --gen)"
+
+
+def _add_source_args(p: argparse.ArgumentParser, depth_help: str | None = None) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--tree", metavar="FILE", help="explicit tree file")
     g.add_argument("--gen", metavar="SPEC", help="generator spec, e.g. 'regular d=2 length=1'")
-    p.add_argument(
-        "--depth",
-        type=int,
-        metavar="H",
-        required=False,
-        help="truncation depth" + (" (required with --gen)" if need_depth else ""),
-    )
+    if depth_help:
+        p.add_argument("--depth", type=int, metavar="H", help=depth_help)
 
 
-# argparse types: the ValueError of a malformed value is a usage error.
-def rational(text: str) -> Fraction:
-    try:
-        return parse_length(text)
-    except ZeroDivisionError:
-        raise ValueError(text) from None
-
-
+# argparse type, like parse_length: the ValueError of a malformed value is a
+# usage error.
 def integer_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
@@ -75,6 +67,17 @@ def _load_source(args):
     if args.tree is not None:
         return parse_tree_file(_read(args.tree))
     return parse_generator_spec(args.gen)
+
+
+def _load_network(args):
+    """The source and its truncation depth: --depth if given, else a tree
+    file's height (at least 1); a generator needs --depth."""
+    source = _load_source(args)
+    if args.depth is not None:
+        return source, args.depth
+    if args.tree is None:
+        raise ParseError("--depth is required with --gen")
+    return source, max(max(source.depths), 1)
 
 
 def _policy(args):
@@ -112,10 +115,7 @@ def _cmd_factorials(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    source = _load_source(args)
-    if args.gen is not None and args.depth is None:
-        raise ParseError("--depth is required with --gen")
-    tree = source if args.gen is None else expand(source, args.depth)
+    tree = expand(*_load_network(args))
     n = args.n
     bound = capacity_bound(tree)
     if bound != INF:
@@ -155,25 +155,20 @@ def _cmd_adelic(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    source = _load_source(args)
-    depth = args.depth
-    if depth is None:
-        if args.tree is None:
-            raise ParseError("--depth is required with --gen")
-        depth = max(source.depths) if len(source.parents) > 1 else 1
-    fl = flow_mod.unit_current_flow(source, depth)
+    fl = flow_mod.unit_current_flow(*_load_network(args))
     if args.csv:
         print("edge_parent,edge_child,flow_num,flow_den")
         for v in sorted(fl.flows):
             f = fl.flows[v]
             print(f"{fl.tree.parents[v]},{v},{f.numerator},{f.denominator}")
         return 0
-    # The walk runs on the flow's own truncation, before any line is
-    # printed, so a rejected --trials prints none.
+    # The escape and the walk (on the flow's own truncation) are computed
+    # before any line is printed, so a rejected input prints none.
+    escape = fl.escape
     walk = flow_mod._walk(fl.tree, args.trials, args.seed or 0) if args.trials else None
     print(f"resistance = {_fmt(fl.energy, args.float)}")
     print(f"energy = {_fmt(fl.energy, args.float)}")
-    print(f"escape = {_fmt(fl.escape, args.float)}")
+    print(f"escape = {_fmt(escape, args.float)}")
     if walk is not None:
         print(
             f"escape_mc = {walk.fraction!r} (trials={walk.trials}, "
@@ -210,7 +205,7 @@ def _parse_sequence_file(text: str, d: int) -> BiasedSequence:
         try:
             n, i = int(parts[0]), int(parts[1])
             value = parse_length(parts[2])
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise ParseError(f"bad sequence row {line!r}", line=ln)
         rows.setdefault(n, {})[i] = value
     if not rows:
@@ -263,10 +258,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_equidist(args) -> int:
-    source = _load_source(args)
-    if args.depth is None:
-        raise ParseError("--depth is required")
-    depth = args.depth
+    source, depth = _load_network(args)
     run = factorials_weighting(source, args.n, _policy(args))
     fl = flow_mod.unit_current_flow(source, depth)
     report = flow_mod.equidistribution_check(run, fl, depth)
@@ -308,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_factorials)
 
     p = sub.add_parser("oracle-check", help="compare weighting, greedy, and min-max values")
-    _add_source_args(p, need_depth=True)
+    _add_source_args(p, _TRUNCATION)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_oracle_check)
 
@@ -325,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_adelic)
 
     p = sub.add_parser("flow", help="resistance, unit flow, and escape probability")
-    _add_source_args(p)
+    _add_source_args(p, _TRUNCATION)
     p.add_argument("--csv", action="store_true", help="per-edge flow CSV")
     p.add_argument("--trials", type=int, help="Monte Carlo escape trials")
     p.add_argument("--seed", type=int, help="Monte Carlo seed")
@@ -333,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_flow)
 
     p = sub.add_parser("branching", help="bracket the branching number")
-    _add_source_args(p)
-    p.add_argument("--lambda-lo", type=rational, required=True, metavar="L")
-    p.add_argument("--lambda-hi", type=rational, required=True, metavar="L")
-    p.add_argument("--tol", type=rational, default="1/20", help="bracket width target (default 1/20)")
+    _add_source_args(p, "deepest truncation of the resistance schedule (default 4096)")
+    p.add_argument("--lambda-lo", type=parse_length, required=True, metavar="L")
+    p.add_argument("--lambda-hi", type=parse_length, required=True, metavar="L")
+    p.add_argument("--tol", type=parse_length, default="1/20", help="bracket width target (default 1/20)")
     p.add_argument("--float", action="store_true")
     p.set_defaults(func=_cmd_branching)
 
@@ -348,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("equidist", help="edge frequencies of a run vs the harmonic flow")
-    _add_source_args(p, need_depth=True)
+    _add_source_args(p, _TRUNCATION)
     p.add_argument("--n", type=int, required=True, help="weighting steps")
     p.add_argument("--seed", type=int, help="break ties between equal-valued vertices at random from this seed")
     p.add_argument("--csv", action="store_true")

@@ -18,10 +18,11 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .engine import WeightingRun
 from .errors import AllOpenCircuit, Inconclusive, StructureError
-from .sources import TreeSource, expand, level_profile, LambdaScaledSource
+from .sources import LambdaScaledSource, TreeSource, expand, level_branching
 from .trees import INF, RootedTree
 
 __all__ = [
@@ -186,7 +187,7 @@ class FlowAssignment:
 
     flows[v] is the current on the edge into v (0 on edges into open
     subtrees).  The energy sum(length * flow**2) equals the effective
-    resistance.
+    resistance (Thomson's principle), so it is read off the sweep.
     """
 
     tree: RootedTree
@@ -198,29 +199,19 @@ class FlowAssignment:
         """Escape probability of the walk from the root."""
         return _escape(self.tree, self.energy)
 
-    def by_address(self) -> dict[tuple[int, ...], Fraction]:
-        addr = self.tree.addresses
-        return {addr[v]: f for v, f in self.flows.items()}
-
 
 def unit_current_flow(source: TreeSource | RootedTree, depth: int) -> FlowAssignment:
-    """Current divider on the depth-truncation: a vertex's inflow splits
+    """Current divider on the depth-truncation: a vertex's current splits
     among its children proportionally to 1/(length + subtree resistance)."""
     tree, r = _network(source, depth)
+    zero = Fraction(0)
     flows: dict[int, Fraction] = {}
-    inflow: dict[int, Fraction] = {0: Fraction(1)}
-    energy = Fraction(0)
+    # Parents precede children, so flows[v] is set before v's turn.
     for v in range(len(tree.parents)):
-        f = inflow.get(v, Fraction(0))
+        f = flows[v] if v else Fraction(1)
         for c in tree.children[v]:
-            if r[c] is None or f == 0:
-                flows[c] = Fraction(0)
-                continue
-            fc = f * r[v] / (tree.lengths[c] + r[c])
-            flows[c] = fc
-            inflow[c] = fc
-            energy += tree.lengths[c] * fc * fc
-    return FlowAssignment(tree, flows, energy)
+            flows[c] = zero if r[c] is None or f == 0 else f * r[v] / (tree.lengths[c] + r[c])
+    return FlowAssignment(tree, flows, r[0])
 
 
 @dataclass(frozen=True)
@@ -244,7 +235,6 @@ def equidistribution_check(
     the branch at v; the flow is its harmonic limit.
     """
     omega = run.normalized_weights_by_address()
-    eta = flow.by_address()
     depths = flow.tree.depths
     addr_of = flow.tree.addresses
     rows = []
@@ -254,7 +244,7 @@ def equidistribution_check(
             continue
         address = addr_of[v]
         w = omega.get(address, Fraction(0))
-        f = eta[address]
+        f = flow.flows[v]
         dev = abs(w - f)
         worst = max(worst, dev)
         rows.append((address, w, f))
@@ -273,9 +263,17 @@ class WalkResult:
         return self.escaped / self.trials
 
 
+def _root_edges(tree: RootedTree) -> tuple[int, ...]:
+    """The root's children; StructureError when there are none (no walk)."""
+    kids = tree.children[0]
+    if not kids:
+        raise StructureError("the tree has no edge, so the walk from the root cannot move")
+    return kids
+
+
 def _escape(tree: RootedTree, resistance: Fraction) -> Fraction:
     """1 over (total root conductance times effective resistance)."""
-    c_root = sum(1 / tree.lengths[c] for c in tree.children[0])
+    c_root = sum(1 / tree.lengths[c] for c in _root_edges(tree))
     return 1 / (c_root * resistance)
 
 
@@ -312,23 +310,18 @@ def _walk(tree: RootedTree, trials: int, seed: int, max_steps: int = _MAX_STEPS)
     """random_walk_escape on an already grounded truncation."""
     if trials < 1:
         raise StructureError("trials must be >= 1")
+    _root_edges(tree)
     n = len(tree.parents)
     neighbors: list[list[int]] = [[] for _ in range(n)]
-    cumulative: list[list[float]] = [[] for _ in range(n)]
+    conductances: list[list[float]] = [[] for _ in range(n)]
     for v in range(1, n):
         u = tree.parents[v]
         c = 1.0 / float(tree.lengths[v])
         neighbors[u].append(v)
         neighbors[v].append(u)
-        cumulative[u].append(c)
-        cumulative[v].append(c)
-    for v in range(n):
-        total = 0.0
-        acc = []
-        for w in cumulative[v]:
-            total += w
-            acc.append(total)
-        cumulative[v] = acc
+        conductances[u].append(c)
+        conductances[v].append(c)
+    cumulative = [list(accumulate(cs)) for cs in conductances]
     grounded = {v for v in tree.leaves if tree.capacities[v] == INF}
 
     rng = random.Random(seed)
@@ -370,43 +363,29 @@ class BranchingReport:
 _DEFAULT_SCHEDULE = (16, 64, 256, 1024, 2048, 4096)
 
 
-def _profile_resistances(counts, lam: float, schedule, threshold) -> list[float]:
-    """Truncated resistances sum(lam**(k-1) / count_k) at the schedule depths.
+def _profile_resistances(branching, lam: float, schedule, threshold) -> list[float]:
+    """Truncated resistances sum(lam**(k-1) / count_k) at the schedule depths,
+    where count_k = branching[0] * ... * branching[k-1] is the edge count
+    of level k.
 
-    Floats, built incrementally so neither lam**k nor the integer level
-    counts are ever converted to float on their own; accumulation stops once
-    the sum passes the divergence threshold (every term is positive, deeper
-    values are then reported at the reached level).
+    Floats, built incrementally as term_k = term_(k-1) * lam / branching[k-1],
+    so neither lam**k nor a level count is ever formed; accumulation stops
+    once the sum passes the divergence threshold (every term is positive,
+    deeper values are then reported at the reached level).
     """
     out = []
     acc = 0.0
-    term = 1.0 / counts[0]
+    term = 1 / branching[0]
     h = 0
     for depth in schedule:
         while h < depth and acc <= threshold:
             if h > 0:
-                term *= lam * (counts[h - 1] / counts[h])
+                # lam * (1 / b), not lam / b: the two round differently.
+                term *= lam * (1 / branching[h])
             acc += term
             h += 1
         out.append(acc)
     return out
-
-
-def _classify(base: TreeSource, counts, lam: Fraction, schedule, res_tol: float, threshold: int):
-    """Verdict at lam; counts is the level profile's edge counts, or None
-    when the base is not spherically symmetric."""
-    if counts is not None:
-        values = _profile_resistances(counts, float(lam), schedule, threshold)
-    else:
-        per_depth = effective_resistance(LambdaScaledSource(base, lam), schedule[-1]).per_depth
-        values = [float(per_depth[h - 1]) for h in schedule]
-    if values[-1] > threshold:
-        return "divergent", values[-1]
-    if len(values) >= 2 and values[-2] > 0 and values[-1] / values[-2] >= 1.8:
-        return "divergent", values[-1]
-    if len(values) >= 2 and values[-1] - values[-2] < res_tol:
-        return "convergent", values[-1]
-    return "inconclusive", values[-1]
 
 
 def branching_number_estimate(
@@ -434,12 +413,22 @@ def branching_number_estimate(
     tol = Fraction(tol)
     res_tol = float(tol) / 8
     threshold = 10**6
-    profile = level_profile(source, schedule[-1])
-    counts = None if profile is None else [count for count, _ in profile]
+    branching = level_branching(source, schedule[-1])
     evals: list[tuple[Fraction, str, float]] = []
 
     def classify(lam: Fraction) -> str:
-        verdict, last = _classify(source, counts, lam, schedule, res_tol, threshold)
+        if branching is not None:
+            values = _profile_resistances(branching, float(lam), schedule, threshold)
+        else:
+            per_depth = effective_resistance(LambdaScaledSource(source, lam), schedule[-1]).per_depth
+            values = [float(per_depth[h - 1]) for h in schedule]
+        last = values[-1]
+        if last > threshold or (len(values) >= 2 and values[-2] > 0 and last / values[-2] >= 1.8):
+            verdict = "divergent"
+        elif len(values) >= 2 and last - values[-2] < res_tol:
+            verdict = "convergent"
+        else:
+            verdict = "inconclusive"
         evals.append((lam, verdict, last))
         if verdict == "inconclusive":
             raise Inconclusive(f"resistance at lam={lam} neither settles nor diverges over the schedule")

@@ -26,7 +26,7 @@ __all__ = [
     "LazyView",
     "view_of",
     "parse_generator_spec",
-    "level_profile",
+    "level_branching",
     "DEFAULT_BUDGET",
 ]
 
@@ -364,30 +364,22 @@ def view_of(source_or_tree, budget: int = DEFAULT_BUDGET):
     return LazyView(source_or_tree, budget)
 
 
-def level_profile(source: TreeSource, depth: int) -> list[tuple[int, Fraction]] | None:
-    """(edge count, edge length) per level 1..depth, when the source is
-    spherically symmetric by construction; None otherwise.
+def level_branching(source: TreeSource, depth: int) -> list[int] | None:
+    """Children per vertex at depths 0..depth-1, when the source is
+    spherically symmetric by construction and does not end above `depth`;
+    None otherwise.  A lambda-scaled source has its base's numbers.
 
     Supports the deep-resistance fast path: for such trees the network is a
-    series of uniform parallel levels, so R = sum(length_k / count_k).
+    series of uniform parallel levels, so R = sum(length_k / count_k), where
+    count_k is the product of the first k branching numbers.
     """
     if isinstance(source, RegularSource):
-        return [(source.degree**k, source.length) for k in range(1, depth + 1)]
+        return [source.degree] * depth
     if isinstance(source, SphericalSource):
-        out = []
-        count = 1
-        for k in range(1, depth + 1):
-            b = source._b(k - 1)
-            if b == 0:
-                return None
-            count *= b
-            out.append((count, source._len(k - 1)))
-        return out
+        branching = [source._b(k) for k in range(depth)]
+        return None if 0 in branching else branching
     if isinstance(source, LambdaScaledSource):
-        base = level_profile(source.base, depth)
-        if base is None:
-            return None
-        return [(cnt, source.lam ** (k - 1)) for k, (cnt, _) in enumerate(base, start=1)]
+        return level_branching(source.base, depth)
     return None
 
 
@@ -464,6 +456,6 @@ def parse_generator_spec(text: str) -> TreeSource:
             p, elements = need("p", "set")
             _require_prime(int(p))
             return AdelicSetSource(tuple(int(x) for x in elements.split(",")), int(p))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad value in generator spec: {exc}") from None
     raise ParseError(f"unknown generator kind {kind!r}")

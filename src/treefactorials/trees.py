@@ -165,9 +165,11 @@ class RootedTree:
 
 
 def parse_length(text: str) -> Fraction:
-    """Parse <num>[/<den>] into a Fraction. Raises ValueError on junk."""
+    """Parse <num>[/<den>] into a Fraction. Raises ValueError on junk and on n/0."""
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -238,7 +240,7 @@ def parse_tree_file(text: str) -> RootedTree:
         if "length" in fields:
             try:
                 length = parse_length(fields["length"])
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 raise ParseError(f"bad length {fields['length']!r}", lineno) from None
             if length <= 0:
                 raise ParseError("length must be positive", lineno)

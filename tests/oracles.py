@@ -326,3 +326,28 @@ def dense_resistance(tree) -> Fraction:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
     return rows[idx[0]][m]
+
+
+def profile_by_counts(branching, lam: float, schedule, threshold) -> list[float]:
+    """Truncated lam-scaled resistances sum(lam**(k-1) / count_k) at the
+    schedule depths of the spherically symmetric tree whose depth-k vertices
+    have branching[k % len(branching)] children, from the exact integer
+    level counts: term_k = term_(k-1) * lam * (count_(k-1) / count_k), summed
+    until the total passes threshold (deeper depths then report that sum)."""
+    counts = []
+    count = 1
+    for k in range(schedule[-1]):
+        count *= branching[k % len(branching)]
+        counts.append(count)
+    out = []
+    acc = 0.0
+    term = 1.0 / counts[0]
+    h = 0
+    for depth in schedule:
+        while h < depth and acc <= threshold:
+            if h > 0:
+                term *= lam * (counts[h - 1] / counts[h])
+            acc += term
+            h += 1
+        out.append(acc)
+    return out

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,13 +9,24 @@ import pytest
 
 import helpers
 from treefactorials import INF, cli, flow, parse_tree_file, serialize_tree
-from treefactorials.cli import main
+from treefactorials.cli import build_parser, main
 
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli_exit(*argv):
+    """run_cli, with an argparse usage error read as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -70,6 +82,12 @@ class TestFactorials:
         assert code == 0
         assert out.strip().splitlines()[1:] == ["0,0,1,0.0", "1,0,1,0.0", "2,1,1,1.0", "3,1,1,1.0", "4,2,1,2.0"]
 
+    def test_depth_is_a_usage_error(self):
+        # factorials runs on the whole (lazy) tree; it takes no truncation.
+        with pytest.raises(SystemExit) as e:
+            run_cli("factorials", "--gen", "regular d=2", "--n", "2", "--depth", "3")
+        assert e.value.code == 2
+
     def test_determinism(self):
         a = run_cli("factorials", "--gen", "regular d=3", "--n", "30", "--csv", "--seed", "7")
         b = run_cli("factorials", "--gen", "regular d=3", "--n", "30", "--csv", "--seed", "7")
@@ -86,6 +104,16 @@ class TestOracleCheck:
         code, out, err = run_cli("oracle-check", "--gen", "regular d=2", "--n", "4")
         assert code == 1
         assert "depth" in err
+
+    def test_tree_file_cut_at_depth(self, tmp_path, monkeypatch):
+        path = tmp_path / "binary.tree"
+        path.write_text(serialize_tree(helpers.binary_tree(3)))
+        calls = helpers.count_calls(monkeypatch, cli, "factorials_weighting")
+        for extra, vertices in (((), 15), (("--depth", "1"), 3)):
+            calls.clear()
+            code, out, _ = run_cli("oracle-check", "--tree", str(path), "--n", "3", *extra)
+            assert (code, out) == (0, "OK: weighting == greedy == minmax\n")
+            assert [len(tree) for tree, _ in calls] == [vertices]
 
     def test_gen_with_depth(self):
         code, out, _ = run_cli("oracle-check", "--gen", "regular d=2", "--n", "4", "--depth", "3")
@@ -197,6 +225,16 @@ class TestFlow:
         code, out, _ = run_cli("flow", "--gen", "regular d=2", "--depth", "3", "--trials", "0")
         assert code == 0 and "escape = 4/7" in out and "escape_mc" not in out
 
+    @pytest.mark.parametrize(
+        "extra", [(), ("--trials", "3"), ("--depth", "2")], ids=["plain", "trials", "depth"]
+    )
+    def test_edgeless_tree_is_domain_error(self, tmp_path, extra):
+        path = tmp_path / "root.tree"
+        path.write_text("node 0 parent=- capacity=inf\n")
+        code, out, err = run_cli("flow", "--tree", str(path), *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("StructureError:")
+
     def test_one_expansion_per_run(self, monkeypatch):
         calls = helpers.count_calls(monkeypatch, flow, "expand")
         for extra in ((), ("--csv",), ("--float",), ("--trials", "50", "--seed", "1")):
@@ -288,6 +326,14 @@ class TestEquidist:
         assert lines[1].split(",")[0] in {"0", "1"}
         assert any(line.split(",")[0].count(".") == 1 for line in lines[1:])
 
+    def test_tree_depth_defaults_to_height(self, tmp_path):
+        path = tmp_path / "binary.tree"
+        path.write_text(serialize_tree(helpers.binary_tree(2)))
+        implicit = run_cli("equidist", "--tree", str(path), "--n", "64", "--csv")
+        assert implicit == run_cli("equidist", "--tree", str(path), "--n", "64", "--csv", "--depth", "2")
+        code, out, _ = implicit
+        assert code == 0 and len(out.splitlines()) == 7
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
@@ -338,7 +384,47 @@ class TestExitCodes:
             run_cli(*argv)
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("argv", [("oracle-check", "--n", "4"), ("flow",), ("equidist", "--n", "4")], ids=" ".join)
+    def test_every_truncating_command_needs_depth_with_gen(self, argv):
+        code, out, err = run_cli(argv[0], "--gen", "regular d=2", *argv[1:])
+        assert (code, out, err) == (1, "", "ParseError: --depth is required with --gen\n")
+
     def test_tree_and_gen_conflict(self, star3):
         with pytest.raises(SystemExit) as e:
             run_cli("factorials", "--tree", star3, "--gen", "regular d=2", "--n", "3")
         assert e.value.code == 2
+
+
+# Arguments that make each subcommand reading a tree run; the sweep below
+# feeds every one of them degenerate trees.
+SWEEP = {
+    "factorials": [("--n", "0"), ("--n", "3"), ("--n", "3", "--t", "1"), ("--n", "2", "--trace", "--csv")],
+    "oracle-check": [("--n", "2"), ("--n", "2", "--depth", "2")],
+    "flow": [(), ("--csv",), ("--float",), ("--trials", "3"), ("--depth", "2")],
+    "branching": [("--lambda-lo", "1", "--lambda-hi", "2"), ("--lambda-lo", "1", "--lambda-hi", "2", "--depth", "8")],
+    "equidist": [("--n", "2"), ("--n", "2", "--depth", "2", "--csv")],
+}
+
+
+class TestRobustnessSweep:
+    """Every outcome is an exit code: 0, 1 (domain error) or 2 (usage), with
+    nothing on stdout unless it is 0.  An exception escaping main, which a
+    shell would show as a traceback, fails the test."""
+
+    def test_sweep_covers_every_tree_command(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        reads_tree = {name for name, p in sub.choices.items() if "--tree" in p._option_string_actions}
+        assert reads_tree == set(SWEEP)
+
+    @pytest.mark.parametrize("cap", ["inf", "2"])
+    @pytest.mark.parametrize(
+        "argv", [(cmd, *extra) for cmd, runs in SWEEP.items() for extra in runs], ids=" ".join
+    )
+    def test_one_vertex_tree(self, tmp_path, cap, argv):
+        path = tmp_path / "root.tree"
+        path.write_text(f"node 0 parent=- capacity={cap}\n")
+        code, out, err = run_cli_exit(argv[0], "--tree", str(path), *argv[1:])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 0:
+            assert out == ""

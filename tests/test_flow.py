@@ -26,6 +26,7 @@ from treefactorials import (
     factorials_weighting,
     flow,
     laplacian_voltage_gap,
+    level_branching,
     random_walk_escape,
     unit_current_flow,
 )
@@ -165,8 +166,9 @@ class TestUnitCurrentFlow:
 
     def test_binary_symmetry(self):
         fl = unit_current_flow(RegularSource(2), 3)
-        addr = fl.by_address()
-        assert all(addr[a] == F(1, 2 ** len(a)) for a in addr)
+        depths = fl.tree.depths
+        assert len(fl.flows) == 14
+        assert all(f == F(1, 2 ** depths[v]) for v, f in fl.flows.items())
 
     def test_path_carries_unit_flow(self):
         t = helpers.path_tree([1, F(3, 2), 2], cap=INF)
@@ -236,6 +238,22 @@ class TestEscape:
         sigma = math.sqrt(float(p) * (1 - float(p)) / 10**4)
         assert abs(w.fraction - float(p)) <= 3 * sigma
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            exact_escape_probability,
+            lambda t, h: unit_current_flow(t, h).escape,
+            lambda t, h: random_walk_escape(t, h, trials=3, seed=1),
+        ],
+        ids=["exact", "flow", "walk"],
+    )
+    def test_edgeless_tree_is_a_structure_error(self, query):
+        # The grounded root is the whole network: R = 0, and a walk from it
+        # has no edge to take.
+        root_only = RootedTree.build((-1,), (None,), {0: INF})
+        with pytest.raises(StructureError, match="no edge"):
+            query(root_only, 1)
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_walk_needs_a_trial(self, trials):
         with pytest.raises(StructureError):
@@ -304,10 +322,31 @@ class TestBranching:
         assert list(rep.evaluations) == want
 
     def test_level_profile_read_once(self, monkeypatch):
-        calls = helpers.count_calls(monkeypatch, flow, "level_profile")
+        calls = helpers.count_calls(monkeypatch, flow, "level_branching")
         rep = branching_number_estimate(RegularSource(3), F(1), F(5))
         assert rep.status == "bracketed" and len(rep.evaluations) > 2
         assert [depth for _, depth in calls] == [4096]
+
+    def test_branching_numbers_match_count_ratios(self):
+        # lam * (1 / b_h) is the correctly rounded count_(h-1) / count_h, so
+        # the per-level numbers give the count-ratio floats exactly.
+        rng = random.Random(20261019)
+        threshold = 10**6
+        full_depth = 0
+        for i in range(200):
+            b = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
+            src = SphericalSource(b, (F(rng.randint(1, 4), rng.randint(1, 3)),))
+            if rng.random() < 0.4:
+                src = LambdaScaledSource(src, F(rng.randint(1, 9), rng.randint(1, 4)))
+            lam = float(F(rng.randint(1, 60), rng.randint(1, 12)))
+            if i % 10 == 0:
+                schedule = flow._DEFAULT_SCHEDULE
+            else:
+                schedule = tuple(sorted({rng.randint(1, 600) for _ in range(4)}))
+            got = flow._profile_resistances(level_branching(src, schedule[-1]), lam, schedule, threshold)
+            assert got == oracles.profile_by_counts(b, lam, schedule, threshold), (src, lam, schedule)
+            full_depth += got[-1] <= threshold
+        assert full_depth >= 50
 
     def test_schedule_must_be_positive_and_sorted(self):
         for schedule in ((0, 3), (64, 16)):

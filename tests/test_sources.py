@@ -19,7 +19,7 @@ from treefactorials import (
     parse_generator_spec,
 )
 from treefactorials.errors import DepthBudgetExceeded
-from treefactorials.sources import level_profile
+from treefactorials.sources import level_branching
 
 
 class TestExpand:
@@ -104,19 +104,33 @@ class TestSourceValidation:
 
 
 class TestLevelProfile:
+    """level_branching: children per vertex at each depth of a spherically
+    symmetric source."""
+
     def test_spherical(self):
         sph = SphericalSource((2, 3), (Fraction(1), Fraction(1, 2)))
-        prof = level_profile(sph, 4)
-        assert prof == [
-            (2, Fraction(1)),
-            (6, Fraction(1, 2)),
-            (12, Fraction(1)),
-            (36, Fraction(1, 2)),
-        ]
+        assert level_branching(sph, 4) == [2, 3, 2, 3]
+        assert level_branching(sph, 1) == [2]
+
+    def test_regular(self):
+        assert level_branching(RegularSource(3, Fraction(1, 2)), 5) == [3] * 5
+
+    def test_spherical_ending_above_depth_returns_none(self):
+        sph = SphericalSource((2, 3, 0))
+        assert level_branching(sph, 2) == [2, 3]
+        assert level_branching(sph, 3) is None
+
+    def test_lambda_scaled_has_its_base_numbers(self):
+        sph = SphericalSource((1, 4, 2), (Fraction(1, 3),))
+        scaled = LambdaScaledSource(sph, Fraction(3, 2))
+        assert level_branching(scaled, 7) == level_branching(sph, 7) == [1, 4, 2, 1, 4, 2, 1]
+        assert level_branching(LambdaScaledSource(SphericalSource((2, 0)), 2), 2) is None
 
     def test_non_symmetric_returns_none(self):
         tree = helpers.star([1, 2], [INF, INF])
-        assert level_profile(tree, 2) is None
+        assert level_branching(tree, 2) is None
+        assert level_branching(expand(RegularSource(2), 3), 2) is None
+        assert level_branching(AdelicSetSource((0, 1, 2, 3), 2), 2) is None
 
 
 class TestGeneratorSpec:
@@ -149,6 +163,7 @@ class TestGeneratorSpec:
             "regular d=2 q=5",
             "regular",
             "regular d=zero",
+            "regular d=2 length=1/0",
             "lambda base=regular d=2 lambda=2",
             "adelic p=4 set=0,1",
         ],

@@ -204,3 +204,15 @@ def test_parse_length_formats():
     assert format_length(Fraction(4, 2)) == "2"
     with pytest.raises(ValueError):
         parse_length("x")
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
+def test_parse_length_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_length(text)
+
+
+def test_zero_denominator_length_is_a_parse_error():
+    with pytest.raises(ParseError, match="bad length") as e:
+        parse_tree_file("node 0 parent=-\nnode 1 parent=0 length=1/0\n")
+    assert e.value.line == 2
