@@ -1,9 +1,12 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import argparse
+import hashlib
 import io
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -241,6 +244,63 @@ class TestFlow:
             calls.clear()
             code, _, _ = run_cli("flow", "--gen", "regular d=2", "--depth", "4", *extra)
             assert code == 0 and [depth for _, depth in calls] == [4]
+
+
+class TestGoldenFlowOutputs:
+    """One digest over the exit code, stdout and stderr of flow and equidist
+    runs on generated and explicit trees, so any change to a printed flow
+    quantity or to an open-circuit message shows up."""
+
+    DIGEST = "1774add2e0eb552a5b06c0ea3723c29ec03ec71221b835b98140ac4b3a6f7e6b"
+
+    SPECS = (
+        ("regular d=2", (1, 2, 5)),
+        # A path, finite so that equidist's weighting run ends.
+        ("spherical b=1,1,1,1,1,1,1,1,1,1,1,0", (10,)),
+        ("regular d=3 length=3/2", (4,)),
+        ("spherical b=2,3 length=1/2,2/3", (5,)),
+        ("spherical b=3,1 length=1/3,2", (4,)),
+        # Open circuits: the message names the depth where the tree ends.
+        ("spherical b=2,0", (1, 2, 3)),
+        ("spherical b=2,1,0", (5,)),
+        ("lambda base=(regular d=2) lambda=3/2", (5,)),
+        ("lambda base=(spherical b=2,3) lambda=2/3", (4,)),
+        ("adelic p=2 set=0,1,3,4,9,12,20", (3, 6)),
+        ("adelic p=3 set=1,2,4,10,28,29", (4,)),
+    )
+
+    @classmethod
+    def inputs(cls, tmp_path):
+        for spec, depths in cls.SPECS:
+            for h in depths:
+                yield ("--gen", spec, "--depth", str(h))
+        rng = random.Random(2026)
+        lengths = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2))
+        trees = [helpers.random_tree(rng, max_edges=12, lengths=lengths, caps=(1, 2, INF)) for _ in range(10)]
+        # Finite capacities only: grounded while cut above the bottom level,
+        # open from the tree's height down.
+        trees.append(helpers.binary_tree(3, cap=2))
+        for i, tree in enumerate(trees):
+            path = tmp_path / f"t{i}.tree"
+            path.write_text(serialize_tree(tree))
+            height = max(tree.depths)
+            for extra in ((), ("--depth", "1"), ("--depth", str(height + 2))):
+                yield ("--tree", str(path), *extra)
+
+    @classmethod
+    def outcomes(cls, tmp_path):
+        for argv in cls.inputs(tmp_path):
+            for extra in ((), ("--float",), ("--csv",), ("--trials", "200", "--seed", "1")):
+                yield repr(run_cli("flow", *argv, *extra))
+            yield repr(run_cli("equidist", *argv, "--n", "40", "--csv"))
+
+    def test_outputs_match_the_pinned_digest(self, tmp_path):
+        outcomes = list(self.outcomes(tmp_path))
+        assert len(outcomes) == (16 + 11 * 3) * 5
+        assert sum("AllOpenCircuit" in o for o in outcomes) > 20
+        assert sum(o.startswith("(0, ") for o in outcomes) > 150
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestBranching:
