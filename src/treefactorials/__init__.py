@@ -8,128 +8,25 @@ against two independent formulations, links them to electrical flows on the
 same tree, and inverts the process for sufficiently biased target sequences.
 """
 
-from .engine import (
-    Canonical,
-    OrderedTieBreak,
-    SeededRandom,
-    TraceStep,
-    WeightingRun,
-    capacity_bound,
-    factorials_greedy_oracle,
-    factorials_minmax,
-    factorials_removed,
-    factorials_weighting,
-)
-from .errors import (
-    AllOpenCircuit,
-    DepthBudgetExceeded,
-    Exhausted,
-    Inconclusive,
-    IndexOutOfRange,
-    Mismatch,
-    NotBiased,
-    ParseError,
-    StructureError,
-    TreeFactorialError,
-)
-from .adelic import (
-    bhargava_factorials,
-    factorials_prime,
-    greedy_bhargava_oracle,
-    legendre,
-)
-from .flow import (
-    BranchingReport,
-    EquidistributionReport,
-    FlowAssignment,
-    ResistanceResult,
-    WalkResult,
-    branching_number_estimate,
-    effective_resistance,
-    equidistribution_check,
-    exact_escape_probability,
-    laplacian_voltage_gap,
-    random_walk_escape,
-    unit_current_flow,
-)
-from .realize import (
-    BiasedSequence,
-    OrderChoice,
-    RoundtripReport,
-    is_sufficiently_biased,
-    realize_lengths,
-    verify_roundtrip,
-)
-from .sequences import FactorialSequence, LimitEstimate, limit_estimate, superadditivity_gap
-from .sources import (
-    AdelicSetSource,
-    LambdaScaledSource,
-    RegularSource,
-    SphericalSource,
-    expand,
-    level_branching,
-    parse_generator_spec,
-)
-from .trees import INF, RootedTree, parse_tree_file, serialize_tree
+from . import adelic, engine, errors, flow, realize, sequences, sources, trees
+from .adelic import *
+from .engine import *
+from .errors import *
+from .flow import *
+from .realize import *
+from .sequences import *
+from .sources import *
+from .trees import *
 
 __version__ = "0.1.0"
 
+# Module-level names that stay in their modules' __all__ but are not part of
+# the package's interface.
+_MODULE_ONLY = {"DEFAULT_BUDGET", "ExplicitView", "LazyView", "TreeSource", "format_length", "parse_length", "view_of"}
+
 __all__ = [
-    "INF",
-    "RootedTree",
-    "parse_tree_file",
-    "serialize_tree",
-    "RegularSource",
-    "SphericalSource",
-    "LambdaScaledSource",
-    "AdelicSetSource",
-    "expand",
-    "level_branching",
-    "parse_generator_spec",
-    "FactorialSequence",
-    "LimitEstimate",
-    "limit_estimate",
-    "superadditivity_gap",
-    "Canonical",
-    "SeededRandom",
-    "OrderedTieBreak",
-    "TraceStep",
-    "WeightingRun",
-    "factorials_weighting",
-    "factorials_removed",
-    "factorials_greedy_oracle",
-    "factorials_minmax",
-    "capacity_bound",
-    "legendre",
-    "factorials_prime",
-    "bhargava_factorials",
-    "greedy_bhargava_oracle",
-    "ResistanceResult",
-    "effective_resistance",
-    "laplacian_voltage_gap",
-    "FlowAssignment",
-    "unit_current_flow",
-    "EquidistributionReport",
-    "equidistribution_check",
-    "WalkResult",
-    "exact_escape_probability",
-    "random_walk_escape",
-    "BranchingReport",
-    "branching_number_estimate",
-    "BiasedSequence",
-    "OrderChoice",
-    "is_sufficiently_biased",
-    "realize_lengths",
-    "RoundtripReport",
-    "verify_roundtrip",
-    "TreeFactorialError",
-    "ParseError",
-    "StructureError",
-    "DepthBudgetExceeded",
-    "Exhausted",
-    "IndexOutOfRange",
-    "AllOpenCircuit",
-    "Inconclusive",
-    "NotBiased",
-    "Mismatch",
+    name
+    for module in (trees, sources, sequences, engine, adelic, flow, realize, errors)
+    for name in module.__all__
+    if name not in _MODULE_ONLY
 ]

@@ -8,6 +8,12 @@ resistances, unit current flows, escape probabilities of the associated
 random walk, and bracketing intervals for the branching number of a
 generated tree.
 
+The exact quantities come from a DAG of (state, depth) nodes of the source:
+equal pairs root equal subtrees, so a symmetric source has one node per
+depth.  A node's children are grouped as (length, child node, multiplicity),
+and R = 1 / sum(m / (length + R_child)).  Only the per-edge flows and the
+Monte Carlo walk expand the truncation vertex by vertex.
+
 All network quantities are exact rationals; floats appear only in Monte
 Carlo estimates and in the final bisection report.
 """
@@ -16,9 +22,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, groupby, islice
+from operator import itemgetter
 
 from .engine import WeightingRun
 from .errors import AllOpenCircuit, Inconclusive, StructureError
@@ -40,55 +48,60 @@ __all__ = [
     "branching_number_estimate",
 ]
 
+_ZERO = Fraction(0)
 
-def _subtree_resistances(tree: RootedTree, h: int) -> list[Fraction | None]:
-    """R[v] = resistance from v down to the grounded leaves of its subtree in
-    the depth-h truncation of `tree`, None where that subtree has no grounded
-    leaf (open, infinite R).
 
-    `tree` is an expansion at depth >= h.  Its ids are breadth first, so the
-    truncation is an id prefix, and a depth-h vertex with children is cut
-    there (grounded, like an inf leaf of `expand(source, h)`).  Children have
-    larger ids than parents, so one reverse sweep is a post-order traversal.
+def _network(source: TreeSource | RootedTree, depth: int, first: int):
+    """(root node, child groups, resistances) of the DAG of the truncations
+    at depths first..depth; raises AllOpenCircuit when no leaf is grounded.
+
+    r[root][i] is R (None if open) of the truncation at depth first + i, the
+    last entry holding for every deeper one; r[node][-1] is R below any node
+    in the truncation at `depth`, which grounds the vertices it cuts.
     """
-    depths = tree.depths
-    n = bisect_right(depths, h)
-    children = tree.children
-    caps = tree.capacities
-    lengths = tree.lengths
-    r: list[Fraction | None] = [None] * n
-    for v in range(n - 1, -1, -1):
-        kids = children[v]
-        if not kids:
-            r[v] = Fraction(0) if caps[v] == INF else None
-            continue
-        if depths[v] == h:
-            r[v] = Fraction(0)
-            continue
-        g = Fraction(0)
-        for c in kids:
-            rc = r[c]
-            if rc is None:
-                continue
-            g += 1 / (lengths[c] + rc)
-        r[v] = 1 / g if g else None
-    return r
-
-
-def _network(source: TreeSource | RootedTree, depth: int) -> tuple[RootedTree, list[Fraction | None]]:
-    """The depth-truncation and its subtree resistances; raises
-    AllOpenCircuit when no leaf is grounded."""
     if depth < 1:
         raise StructureError("depth must be >= 1")
-    tree = expand(source, depth)
-    r = _subtree_resistances(tree, depth)
-    if r[0] is None:
-        # A cut vertex is grounded, so an open truncation cuts none: the
-        # tree ends at its deepest level D <= depth, every truncation above
-        # D cuts a vertex, and the first open one is at D.
-        opened = max(tree.depths[-1], 1)
+    root = (source.root_state(), 0)
+    groups, r = {root: ()}, {}
+    # Breadth first, so the reverse order solves children before parents.
+    order = [root]
+    for node in order:
+        state, d = node
+        cap = source.state_capacity(state, d)
+        if cap is not None or d == depth:
+            r[node] = [_ZERO if cap is None or cap == INF else None]
+            continue
+        runs = groupby(source.state_children(state, d), key=itemgetter(1, 0))
+        groups[node] = kids = [(ln, (child, d + 1), len(list(run))) for (child, ln), run in runs]
+        for _, c, _ in kids:
+            if c not in groups:
+                groups[c] = ()
+                order.append(c)
+    solved = len(order)
+    for node in reversed(order):
+        # Two levels down no parent is left: keep the value at `depth` only.
+        while order[solved - 1][1] > node[1] + 1:
+            solved -= 1
+            r[order[solved]] = r[order[solved]][-1:]
+        if node in r:
+            continue
+        kids = [(ln, r[c], m) for ln, c, m in groups[node]]
+        # Cut at its own depth; the children's lists start at max(first, d + 1).
+        values = [_ZERO] if node[1] >= first else []
+        for i in range(max([len(rc) for _, rc, _ in kids], default=1)):
+            g = _ZERO
+            for ln, rc, m in kids:
+                x = rc[min(i, len(rc) - 1)]
+                if x is not None:
+                    g += m / (ln + x)
+            values.append(1 / g if g else None)
+        r[node] = values
+    if r[root][-1] is None:
+        # A cut vertex is grounded, so an open truncation cuts none: the tree
+        # ends at its deepest level, the first truncation that is open.
+        opened = max(order[-1][1], 1)
         raise AllOpenCircuit(f"no infinite-capacity leaf at truncation depth {opened}")
-    return tree, r
+    return root, groups, r
 
 
 @dataclass(frozen=True)
@@ -107,13 +120,10 @@ class ResistanceResult:
 def effective_resistance(source: TreeSource | RootedTree, depth: int) -> ResistanceResult:
     """Exact resistance between the root and the grounded boundary of the
     depth-truncation.  Raises AllOpenCircuit when no leaf is grounded."""
-    tree, r = _network(source, depth)
-    # Shallower truncations of a grounded one are grounded too, and past
-    # the deepest vertex every truncation is the whole tree.
-    last = min(depth, max(tree.depths[-1], 1))
-    per_depth = [_subtree_resistances(tree, h)[0] for h in range(1, last)]
-    per_depth += [r[0]] * (depth - last + 1)
-    return ResistanceResult(r[0], depth, tuple(per_depth))
+    root, _, r = _network(source, depth, 1)
+    values = r[root]  # shallower truncations of a grounded one are grounded too
+    per_depth = tuple(values) + (values[-1],) * (depth - len(values))
+    return ResistanceResult(values[-1], depth, per_depth)
 
 
 def laplacian_voltage_gap(tree: RootedTree) -> Fraction:
@@ -185,33 +195,47 @@ def laplacian_voltage_gap(tree: RootedTree) -> Fraction:
 class FlowAssignment:
     """Unit flow from the root to the grounded boundary.
 
-    flows[v] is the current on the edge into v (0 on edges into open
-    subtrees).  The energy sum(length * flow**2) equals the effective
-    resistance (Thomson's principle), so it is read off the sweep.
+    The energy sum(length * flow**2) equals the effective resistance
+    (Thomson's principle).  `tree`, the expanded truncation, and `flows` are
+    built on first use: flows[v] is the current on the edge into v (0 on
+    edges into open subtrees).
     """
 
-    tree: RootedTree
-    flows: dict[int, Fraction]
+    source: TreeSource | RootedTree
+    depth: int
     energy: Fraction
+    network: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def tree(self) -> RootedTree:
+        return expand(self.source, self.depth)
+
+    @cached_property
+    def flows(self) -> dict[int, Fraction]:
+        """Current divider: a vertex's current splits among its children
+        proportionally to 1/(length + subtree resistance)."""
+        root, groups, r = self.network
+        # A vertex's children are its node's groups, each repeated m times.
+        nodes, flows = {0: root}, {}
+        for v, kids in enumerate(self.tree.children):
+            f, node, kid = flows[v] if v else Fraction(1), nodes[v], iter(kids)
+            for ln, child, m in groups[node]:
+                rc = r[child][-1]
+                share = _ZERO if rc is None or f == 0 else f * r[node][-1] / (ln + rc)
+                for c in islice(kid, m):
+                    nodes[c], flows[c] = child, share
+        return flows
 
     @property
     def escape(self) -> Fraction:
         """Escape probability of the walk from the root."""
-        return _escape(self.tree, self.energy)
+        return 1 / (sum(1 / ln for ln, _ in _root_edges(self.source)) * self.energy)
 
 
 def unit_current_flow(source: TreeSource | RootedTree, depth: int) -> FlowAssignment:
-    """Current divider on the depth-truncation: a vertex's current splits
-    among its children proportionally to 1/(length + subtree resistance)."""
-    tree, r = _network(source, depth)
-    zero = Fraction(0)
-    flows: dict[int, Fraction] = {}
-    # Parents precede children, so flows[v] is set before v's turn.
-    for v in range(len(tree.parents)):
-        f = flows[v] if v else Fraction(1)
-        for c in tree.children[v]:
-            flows[c] = zero if r[c] is None or f == 0 else f * r[v] / (tree.lengths[c] + r[c])
-    return FlowAssignment(tree, flows, r[0])
+    """Unit current flow on the depth-truncation."""
+    root, _, r = network = _network(source, depth, depth)
+    return FlowAssignment(source, depth, r[root][-1], network)
 
 
 @dataclass(frozen=True)
@@ -235,20 +259,14 @@ def equidistribution_check(
     the branch at v; the flow is its harmonic limit.
     """
     omega = run.normalized_weights_by_address()
-    depths = flow.tree.depths
     addr_of = flow.tree.addresses
-    rows = []
-    worst = Fraction(0)
-    for v in sorted(flow.flows, key=lambda v: addr_of[v]):
-        if depths[v] > max_depth:
-            continue
-        address = addr_of[v]
-        w = omega.get(address, Fraction(0))
-        f = flow.flows[v]
-        dev = abs(w - f)
-        worst = max(worst, dev)
-        rows.append((address, w, f))
-    return EquidistributionReport(max_depth, run.steps, tuple(rows), worst)
+    rows = tuple(
+        (addr_of[v], omega.get(addr_of[v], _ZERO), f)
+        for v, f in sorted(flow.flows.items(), key=lambda item: addr_of[item[0]])
+        if len(addr_of[v]) <= max_depth
+    )
+    worst = max((abs(w - f) for _, w, f in rows), default=_ZERO)
+    return EquidistributionReport(max_depth, run.steps, rows, worst)
 
 
 @dataclass(frozen=True)
@@ -263,37 +281,26 @@ class WalkResult:
         return self.escaped / self.trials
 
 
-def _root_edges(tree: RootedTree) -> tuple[int, ...]:
-    """The root's children; StructureError when there are none (no walk)."""
-    kids = tree.children[0]
-    if not kids:
-        raise StructureError("the tree has no edge, so the walk from the root cannot move")
-    return kids
-
-
-def _escape(tree: RootedTree, resistance: Fraction) -> Fraction:
-    """1 over (total root conductance times effective resistance)."""
-    c_root = sum(1 / tree.lengths[c] for c in _root_edges(tree))
-    return 1 / (c_root * resistance)
+def _root_edges(source: TreeSource | RootedTree):
+    """The root's (length, child state) pairs; StructureError if none (no walk)."""
+    root = source.root_state()
+    if source.state_capacity(root, 0) is None and (edges := source.state_children(root, 0)):
+        return edges
+    raise StructureError("the tree has no edge, so the walk from the root cannot move")
 
 
 def exact_escape_probability(source: TreeSource | RootedTree, depth: int) -> Fraction:
     """Probability that the conductance-biased walk from the root hits the
     grounded boundary before returning to the root: 1 over (total root
     conductance times effective resistance)."""
-    tree, r = _network(source, depth)
-    return _escape(tree, r[0])
+    return unit_current_flow(source, depth).escape
 
 
 _MAX_STEPS = 10**6
 
 
 def random_walk_escape(
-    source: TreeSource | RootedTree,
-    depth: int,
-    trials: int,
-    seed: int,
-    max_steps: int = _MAX_STEPS,
+    source: TreeSource | RootedTree, depth: int, trials: int, seed: int, max_steps: int = _MAX_STEPS
 ) -> WalkResult:
     """Monte Carlo estimate of the escape probability.
 
@@ -302,8 +309,7 @@ def random_walk_escape(
     either reaches a grounded leaf (escape) or re-enters the root (failure).
     Trials exceeding max_steps count as failures and are tallied.
     """
-    tree, _ = _network(source, depth)
-    return _walk(tree, trials, seed, max_steps)
+    return _walk(unit_current_flow(source, depth).tree, trials, seed, max_steps)
 
 
 def _walk(tree: RootedTree, trials: int, seed: int, max_steps: int = _MAX_STEPS) -> WalkResult:
@@ -311,17 +317,12 @@ def _walk(tree: RootedTree, trials: int, seed: int, max_steps: int = _MAX_STEPS)
     if trials < 1:
         raise StructureError("trials must be >= 1")
     _root_edges(tree)
-    n = len(tree.parents)
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    conductances: list[list[float]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        u = tree.parents[v]
-        c = 1.0 / float(tree.lengths[v])
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-        conductances[u].append(c)
-        conductances[v].append(c)
-    cumulative = [list(accumulate(cs)) for cs in conductances]
+    # A vertex's neighbors are its parent, then its children; an edge's
+    # conductance is 1 over the length into its deeper end.
+    neighbors = [([p] if p >= 0 else []) + list(kids) for p, kids in zip(tree.parents, tree.children)]
+    cumulative = [
+        list(accumulate(1.0 / float(tree.lengths[max(u, v)]) for u in nb)) for v, nb in enumerate(neighbors)
+    ]
     grounded = {v for v in tree.leaves if tree.capacities[v] == INF}
 
     rng = random.Random(seed)
@@ -389,11 +390,7 @@ def _profile_resistances(branching, lam: float, schedule, threshold) -> list[flo
 
 
 def branching_number_estimate(
-    source: TreeSource | RootedTree,
-    lam_lo,
-    lam_hi,
-    depth_schedule=None,
-    tol=Fraction(1, 20),
+    source: TreeSource | RootedTree, lam_lo, lam_hi, depth_schedule=None, tol=Fraction(1, 20)
 ) -> BranchingReport:
     """Bracket the branching number of the generated tree within tol.
 
@@ -407,6 +404,7 @@ def branching_number_estimate(
     lo, hi = Fraction(lam_lo), Fraction(lam_hi)
     if not 0 < lo < hi:
         raise StructureError("need 0 < lam_lo < lam_hi")
+    _root_edges(source)
     schedule = tuple(depth_schedule) if depth_schedule else _DEFAULT_SCHEDULE
     if schedule[0] < 1 or list(schedule) != sorted(schedule):
         raise StructureError("schedule depths must be >= 1 and nondecreasing")

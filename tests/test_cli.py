@@ -239,11 +239,31 @@ class TestFlow:
         assert err.startswith("StructureError:")
 
     def test_one_expansion_per_run(self, monkeypatch):
+        # The report reads the (state, depth) network; only per-edge flows
+        # and the walk need the tree vertex by vertex.
         calls = helpers.count_calls(monkeypatch, flow, "expand")
-        for extra in ((), ("--csv",), ("--float",), ("--trials", "50", "--seed", "1")):
+        runs = (((), []), (("--float",), []), (("--csv",), [4]), (("--trials", "50", "--seed", "1"), [4]))
+        for extra, want in runs:
             calls.clear()
             code, _, _ = run_cli("flow", "--gen", "regular d=2", "--depth", "4", *extra)
-            assert code == 0 and [depth for _, depth in calls] == [4]
+            assert code == 0 and [depth for _, depth in calls] == want
+
+    def test_deep_binary_report_is_fast(self):
+        with helpers.deadline(2):
+            code, out, err = run_cli("flow", "--gen", "regular d=2", "--depth", "64")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "resistance = 18446744073709551615/18446744073709551616"
+
+    @pytest.mark.parametrize(
+        "cap, want",
+        [(INF, (0, "resistance = 3000\nenergy = 3000\nescape = 1/3000\n", "")),
+         (2, (1, "", "AllOpenCircuit: no infinite-capacity leaf at truncation depth 3000\n"))],
+    )
+    def test_deep_path(self, tmp_path, cap, want):
+        # Deeper than the interpreter's recursion limit.
+        path = tmp_path / "deep.tree"
+        path.write_text(serialize_tree(helpers.path_tree([1] * 3000, cap=cap)))
+        assert run_cli("flow", "--tree", str(path)) == want
 
 
 class TestGoldenFlowOutputs:
@@ -320,6 +340,15 @@ class TestBranching:
         )
         assert code == 0
         assert "status = collapsed-low" in out
+
+    @pytest.mark.parametrize("cap", ["inf", "2"])
+    def test_edgeless_tree_is_domain_error(self, tmp_path, cap):
+        # A grounded root alone has R = 0 at every lambda: no branch to count.
+        path = tmp_path / "root.tree"
+        path.write_text(f"node 0 parent=- capacity={cap}\n")
+        code, out, err = run_cli("branching", "--tree", str(path), "--lambda-lo", "1", "--lambda-hi", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("StructureError: the tree has no edge")
 
 
 class TestRealize:

@@ -31,7 +31,23 @@ from treefactorials import (
     unit_current_flow,
 )
 
+from treefactorials.sources import TreeSource
+
 F = Fraction
+
+
+class FibonacciSource(TreeSource):
+    """A source whose state DAG shares nodes between different parents:
+    state "a" has children "a" and "b", state "b" one child "a"."""
+
+    def root_state(self):
+        return "a"
+
+    def state_children(self, state, depth):
+        return [(F(1), "a"), (F(2), "b")] if state == "a" else [(F(1, 2), "a")]
+
+    def state_capacity(self, state, depth):
+        return None
 
 
 class TestEffectiveResistance:
@@ -90,9 +106,9 @@ class TestEffectiveResistance:
 
 
 class TestPerDepthSweep:
-    """A flow query expands its source once; each per-depth value read off
-    that expansion matches a dense Laplacian solve of the truncation
-    expanded on its own."""
+    """A flow query reads one (state, depth) network of its source and
+    expands nothing; each per-depth value read off that network matches a
+    dense Laplacian solve of the truncation expanded on its own."""
 
     LAZY = (
         RegularSource(2),
@@ -100,6 +116,7 @@ class TestPerDepthSweep:
         SphericalSource((3, 1), (F(1, 3), F(2))),
         LambdaScaledSource(RegularSource(2), F(3, 2)),
         AdelicSetSource((0, 1, 3, 4, 9, 12, 20), 2),
+        FibonacciSource(),
     )
 
     @staticmethod
@@ -120,24 +137,43 @@ class TestPerDepthSweep:
             t = helpers.random_tree(rng, max_edges=9, require_inf=True)
             checked += self.check(t, max(t.depths) + 2)
         assert checked >= 150
+        # Larger trees, and lambda-scaled ones, whose lengths vary by depth.
+        rng = random.Random(20261106)
+        lengths = (F(1), F(2), F(1, 2), F(3, 2))
+        for i in range(12):
+            t = helpers.random_tree(
+                rng, max_edges=24, lengths=lengths, caps=(1, 2, INF), require_inf=True, min_edges=12
+            )
+            src = LambdaScaledSource(t, F(2, 3)) if i % 3 == 0 else t
+            checked += self.check(src, max(t.depths) + 1)
+        assert checked >= 200
+
+    def test_deep_binary_is_fast(self):
+        with helpers.deadline(1):
+            rr = effective_resistance(RegularSource(2), 16)
+        assert rr.per_depth == tuple(1 - F(1, 2**h) for h in range(1, 17))
 
     def test_lazy_sources(self):
         for src in self.LAZY:
             assert self.check(src, 4) == 4
+        assert self.check(FibonacciSource(), 7) == 7
 
-    def test_each_query_expands_once(self, monkeypatch):
+    def test_only_the_walk_expands(self, monkeypatch):
         calls = helpers.count_calls(monkeypatch, flow, "expand")
+        networks = helpers.count_calls(monkeypatch, flow, "_network")
         queries = (
-            effective_resistance,
-            unit_current_flow,
-            exact_escape_probability,
-            lambda src, h: random_walk_escape(src, h, trials=5, seed=1),
+            (effective_resistance, []),
+            (unit_current_flow, []),
+            (exact_escape_probability, []),
+            (lambda src, h: random_walk_escape(src, h, trials=5, seed=1), [5]),
         )
-        for query in queries:
+        for query, want in queries:
             for src in (RegularSource(2), helpers.binary_tree(3)):
                 calls.clear()
+                networks.clear()
                 query(src, 5)
-                assert [depth for _, depth in calls] == [5]
+                assert [depth for _, depth in calls] == want
+                assert len(networks) == 1
 
 
 class TestLaplacianAgreement:
