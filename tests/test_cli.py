@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from treefactorials import INF, cli, flow, parse_tree_file, serialize_tree
+from treefactorials import INF, cli, flow, format_length, parse_tree_file, serialize_tree
 from treefactorials.cli import build_parser, main
 
 
@@ -319,6 +319,84 @@ class TestGoldenFlowOutputs:
         assert len(outcomes) == (16 + 11 * 3) * 5
         assert sum("AllOpenCircuit" in o for o in outcomes) > 20
         assert sum(o.startswith("(0, ") for o in outcomes) > 150
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+
+def biased_rows(rng, d, depth, denominator=1):
+    """Rows 'generation,position,value' of a sufficiently biased sequence,
+    each value past generation 0 plus a random fraction with the given
+    denominator (none at 1): a generation starts far above the sum of the
+    earlier ones and climbs by steps of at least 1."""
+    rows = [f"0,{i + 1},0" for i in range(d)]
+    running = value = 0
+    for n in range(1, depth + 1):
+        running += value
+        step = running + 1
+        value = 4 * d**n * (running + 2 * d**n * step) + d**n + rng.randrange(step)
+        for i in range(d**n):
+            if i:
+                value += step + rng.randrange(step)
+            extra = Fraction(rng.randrange(denominator), denominator)
+            rows.append(f"{n},{i + 1},{format_length(value + extra)}")
+    return "\n".join(rows) + "\n"
+
+
+class TestGoldenAdelicRealizeOutputs:
+    """One digest over the exit code, stdout and stderr of adelic and realize
+    runs, so any change to a printed factorial, a realized length or an
+    error message shows up."""
+
+    DIGEST = "d79611c7a6a59c755c3aaa7eaecf912e1d96ab6a9897997122e34280925e1e62"
+
+    @staticmethod
+    def adelic_inputs():
+        rng = random.Random(20261019)
+        sets = [[start + i for i in range(k)] for start, k in ((0, 1), (0, 2), (999983, 13), (10**6 + 7, 40), (-50, 25))]
+        sets += [rng.sample(range(10**11, 10**12), 20) for _ in range(3)]
+        p14 = 30000000000011
+        offset = rng.randrange(10**17, 9 * 10**17)
+        sets += [[offset + p14 * k for k in rng.sample(range(10**17 // p14), 16)] for _ in range(2)]
+        sets += [rng.sample(range(10**17, 10**18), 12)]
+        sets += [[rng.randrange(10**39, 10**40) for _ in range(10)] for _ in range(2)]
+        sets += [[2**64 * rng.randrange(-10**20, 10**20) + 7 for _ in range(9)]]
+        sets += [[0] + [2**k for k in range(40)], [x * 3**30 for x in (1, 4, 10, 28, 82)]]
+        for s in sets:
+            text = "--set=" + ",".join(map(str, s))
+            last = str(len(s) - 1)
+            yield ("adelic", text, "--n", last)
+            yield ("adelic", text, "--n", last, "--csv")
+            for p in ("2", "3", "4", "3215031751", str(2**61 - 1), str(2**89 - 1)):
+                yield ("adelic", text, "--n", last, "--p", p)
+            yield ("adelic", text, "--n", str(len(s)))
+            yield ("adelic", text, "--n", "-1")
+        yield ("adelic", "--set", "1,2,2", "--n", "1")
+
+    @staticmethod
+    def realize_inputs(tmp_path):
+        rng = random.Random(20261020)
+        files = []
+        for d, depth in ((2, 0), (2, 1), (2, 4), (2, 6), (3, 2), (3, 3), (4, 2)):
+            for denominator in (1, 6, 35):
+                files.append((d, biased_rows(rng, d, depth, denominator)))
+        files.append((2, "0,1,0\n0,2,0\n1,1,10\n1,2,12\n2,1,30\n2,2,31\n2,3,32\n2,4,33\n"))
+        files.append((2, "0,1,0\n0,2,0\n1,1,1/3\n1,2,1/2\n2,1,7/2\n2,2,4\n2,3,9/2\n2,4,5\n"))
+        orders = tmp_path / "orders.txt"
+        orders.write_text("1: 1,0\n2: 3,0,2,1\n3: 7,6,5,4,3,2,1,0\n")
+        for i, (d, rows) in enumerate(files):
+            path = tmp_path / f"seq{i}.csv"
+            path.write_text(rows)
+            for extra in ((), ("--verify",)):
+                yield ("realize", "--d", str(d), "--seq", str(path), *extra)
+                if d == 2 and rows.count("\n") >= 14:
+                    yield ("realize", "--d", "2", "--seq", str(path), "--orders", str(orders), *extra)
+
+    def test_outputs_match_the_pinned_digest(self, tmp_path):
+        outcomes = [repr(run_cli(*argv)) for argv in self.adelic_inputs()]
+        outcomes += [repr(run_cli(*argv)) for argv in self.realize_inputs(tmp_path)]
+        assert len(outcomes) == 161 + 58
+        assert sum(o.startswith("(0, ") for o in outcomes) == 80 + 54
+        assert sum("NotBiased" in o for o in outcomes) == 4
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
         assert digest == self.DIGEST
 
