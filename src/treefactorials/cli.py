@@ -140,8 +140,7 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_adelic(args) -> int:
     if args.p is not None:
         _require_prime(args.p)
-        vals = adelic_mod.factorials_prime(args.set, args.p, args.n)
-        facts = [args.p ** int(v) for v in vals.values]
+        facts = [args.p**v for v in adelic_mod.factorials_prime(args.set, args.p, args.n).values]
     else:
         facts = adelic_mod.bhargava_factorials(args.set, args.n)
     if args.csv:

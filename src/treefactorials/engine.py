@@ -97,16 +97,6 @@ class WeightingRun:
     def steps(self) -> int:
         return len(self.sequence.values)
 
-    def weights_by_address(self) -> dict[tuple[int, ...], int]:
-        """Edge weights keyed by the child's structural address, for
-        comparing against flows computed on a separate expansion."""
-        view = self.view
-        return {view.address(v): w for v, w in self.weights.items()}
-
-    def normalized_weights_by_address(self) -> dict[tuple[int, ...], Fraction]:
-        n = self.steps
-        return {a: Fraction(w, n) for a, w in self.weights_by_address().items()}
-
 
 def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error=False) -> WeightingRun:
     if n_max < 0:
@@ -347,18 +337,26 @@ def factorials_greedy_oracle(tree: RootedTree, n_max: int) -> FactorialSequence:
     return FactorialSequence(tuple(values), "greedy-oracle")
 
 
+def _minmax_merge(children, keep: int) -> list:
+    """The min-max step at a vertex: the `keep` smallest of the streams
+    a_k + k * length over its children's (terms a_0, a_1, ..., length)."""
+    streams = [[a + k * ln for k, a in enumerate(terms)] for terms, ln in children]
+    return list(itertools.islice(heapq.merge(*streams), keep))
+
+
 def factorials_minmax(tree: RootedTree, n_max: int) -> FactorialSequence:
     """Min over compositions (n_1..n_d) of n+1 with n_j <= N_j of the max of
     subtree terms a_{n_j-1} + (n_j-1) * edge length, skipping n_j = 0.
 
     Each child stream b_j(k) = a_k(T_j) + k * length_j is nondecreasing, so
     the minimum over compositions of the maximum is the (n+1)-th smallest
-    element of the merged streams.  Node ids are topological, so one pass
-    from the last id to the root merges every vertex's children before the
-    vertex itself, keeping the first n_max+1 terms; a leaf contributes
-    capacity many zeros and a single child is the one-stream case.
-    Independent of the weighting engine: recursive order statistics instead
-    of incremental edge weights.  Raises IndexOutOfRange when n_max >= N.
+    element of the merged streams: the merge step `_minmax_merge`, which the
+    adelic residue trees share.  Node ids are topological, so one pass from
+    the last id to the root merges every vertex's children before the vertex
+    itself, keeping the first n_max+1 terms; a leaf contributes capacity
+    many zeros and a single child is the one-stream case.  Independent of
+    the weighting engine: recursive order statistics instead of incremental
+    edge weights.  Raises IndexOutOfRange when n_max >= N.
     """
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
@@ -372,10 +370,7 @@ def factorials_minmax(tree: RootedTree, n_max: int) -> FactorialSequence:
         if not kids:
             terms[v] = [Fraction(0)] * min(tree.capacities[v], keep)
             continue
-        streams = []
+        terms[v] = _minmax_merge([(terms[c], tree.lengths[c]) for c in kids], keep)
         for c in kids:
-            ln = tree.lengths[c]
-            streams.append([a + k * ln for k, a in enumerate(terms[c])])
             terms[c] = None
-        terms[v] = list(itertools.islice(heapq.merge(*streams), keep))
     return FactorialSequence(tuple(terms[0]), "minmax")

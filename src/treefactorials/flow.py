@@ -256,12 +256,18 @@ def equidistribution_check(
 
     The run's normalized weight of the edge into v is the fraction of terms
     whose chosen vertex passed through v, so it is the empirical measure of
-    the branch at v; the flow is its harmonic limit.
+    the branch at v; the flow is its harmonic limit.  An edge leaving the
+    run's weighted subtree has weight 0.
     """
-    omega = run.normalized_weights_by_address()
-    addr_of = flow.tree.addresses
+    tree, view, weights = flow.tree, run.view, run.weights
+    # Flow-tree vertex -> weighted run vertex (or the root), parents first.
+    at = {0: 0}
+    for v, kids in enumerate(tree.children):
+        if v in at:
+            at.update((c, u) for c, u in zip(kids, view.children(at[v])) if u in weights)
+    addr_of, n = tree.addresses, run.steps
     rows = tuple(
-        (addr_of[v], omega.get(addr_of[v], _ZERO), f)
+        (addr_of[v], Fraction(weights[at[v]], n) if v in at else _ZERO, f)
         for v, f in sorted(flow.flows.items(), key=lambda item: addr_of[item[0]])
         if len(addr_of[v]) <= max_depth
     )

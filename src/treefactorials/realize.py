@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .engine import OrderedTieBreak, factorials_weighting
 from .errors import Mismatch, NotBiased, StructureError
-from .trees import INF, RootedTree
+from .trees import INF, RootedTree, _denominator_lcm
 
 __all__ = [
     "BiasedSequence",
@@ -121,7 +121,8 @@ def realize_lengths(seq: BiasedSequence, orders: OrderChoice | None = None) -> R
 
     Each computed length must land in [first_target / 2, target]; a value
     outside that window means the input was not biased enough and raises
-    NotBiased.  Integer targets yield integer lengths.
+    NotBiased.  Integer targets yield integer lengths.  The sums run on the
+    targets times the LCM of their denominators, in integers.
     """
     ok, bad = is_sufficiently_biased(seq)
     if not ok:
@@ -130,42 +131,34 @@ def realize_lengths(seq: BiasedSequence, orders: OrderChoice | None = None) -> R
     d, depth = seq.d, seq.depth
     offsets = _offsets(d, depth)
     n_vertices = offsets[depth + 1]
-    parents = [-1] * n_vertices
-    lengths: list[Fraction | None] = [None] * n_vertices
-    caps: list[int | float | None] = [None] * n_vertices
-    for gen in range(1, depth + 1):
-        for slot in range(d**gen):
-            v = offsets[gen] + slot
-            parents[v] = offsets[gen - 1] + slot // d
+    # Breadth-first ids: the children of u are d*u+1 .. d*u+d.
+    parents = [-1] + [(v - 1) // d for v in range(1, n_vertices)]
+    scaled: list[int] = [0] * n_vertices  # lengths times `scale`
+    scale = _denominator_lcm(seq.flattened())
     for gen in range(1, depth + 1):
         order = orders.slot_order(gen, d**gen)
         group = seq.groups[gen]
-        lo = group[0] / 2
+        targets = [t.numerator * (scale // t.denominator) for t in group]
         below: dict[int, int] = {}
         for i, slot in enumerate(order):
             v = offsets[gen] + slot
-            target = group[i]
-            acc = Fraction(0)
-            u = parents[v]
-            j = gen - 1
-            while j >= 1:
-                acc += (d ** (gen - j) + below.get(u, 0)) * lengths[u]
+            acc, u = 0, parents[v]
+            for j in range(gen - 1, 0, -1):
+                acc += (d ** (gen - j) + below.get(u, 0)) * scaled[u]
                 u = parents[u]
-                j -= 1
-            value = target - acc
-            if not lo <= value <= target:
+            value = targets[i] - acc
+            if not targets[0] <= 2 * value <= 2 * targets[i]:
                 raise NotBiased(
-                    f"generation {gen}, position {i + 1}: edge length {value} "
-                    f"falls outside [{lo}, {target}]"
+                    f"generation {gen}, position {i + 1}: edge length {Fraction(value, scale)} "
+                    f"falls outside [{group[0] / 2}, {group[i]}]"
                 )
-            lengths[v] = value
+            scaled[v] = value
             u = parents[v]
             while u != 0:
                 below[u] = below.get(u, 0) + 1
                 u = parents[u]
-    for v in range(offsets[depth], n_vertices):
-        caps[v] = INF
-    return RootedTree(tuple(parents), tuple(lengths), tuple(caps))
+    caps = (None,) * offsets[depth] + (INF,) * (n_vertices - offsets[depth])
+    return RootedTree(tuple(parents), (None, *(Fraction(x, scale) for x in scaled[1:])), caps)
 
 
 @dataclass(frozen=True)

@@ -98,15 +98,16 @@ def limit_estimate(seq: FactorialSequence) -> LimitEstimate:
     if K < 1:
         raise ValueError("need at least two terms to estimate a limit")
     tail_window = max(1, K // 4)
-    value = values[K] / K
-    # The largest a_k/k, found by comparing a_k * j with a_j * k on the
-    # scaled integers, so no quotient is reduced until the last.
+    # Quotients come from the scaled integers, so int terms give Fractions
+    # too; the largest a_k/k is found by comparing a_k * j with a_j * k, so
+    # no quotient is reduced until the last.
     a, den = _scaled(values)
+    value = Fraction(a[K], K * den)
     best = 1
     for k in range(2, K + 1):
         if a[k] * best > a[best] * k:
             best = k
     lower = Fraction(a[best], best * den)
     start = K - tail_window
-    climb = value - (values[start] / start if start >= 1 else Fraction(0))
+    climb = value - (Fraction(a[start], start * den) if start >= 1 else Fraction(0))
     return LimitEstimate(value, lower, tail_window, climb > Fraction(1, 100))

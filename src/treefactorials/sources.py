@@ -192,6 +192,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integer_tuple(elements) -> tuple[int, ...]:
+    """The set's elements as a tuple; StructureError names one not an int."""
+    for x in (elems := tuple(elements)):
+        if not isinstance(x, int):
+            raise StructureError(f"set elements must be integers, got {x!r}")
+    return elems
+
+
 def _require_prime(n: int) -> None:
     """StructureError unless n is a proven prime; for a prime that comes
     from outside the program (CLI --p, the adelic spec)."""
@@ -218,6 +226,7 @@ class AdelicSetSource(TreeSource):
     def __post_init__(self):
         if not self.elements:
             raise StructureError("adelic source needs a nonempty set")
+        _integer_tuple(self.elements)
         if len(set(self.elements)) != len(self.elements):
             raise StructureError("adelic source elements must be distinct")
         if not isinstance(self.p, int) or self.p < 2:
@@ -289,9 +298,6 @@ class ExplicitView:
     def capacity(self, v: int) -> Capacity | None:
         return self.tree.capacities[v]
 
-    def address(self, v: int) -> tuple[int, ...]:
-        return self.tree.addresses[v]
-
     def length_scale(self) -> int:
         return self.tree.length_scale()
 
@@ -299,15 +305,14 @@ class ExplicitView:
 class LazyView:
     """Engine-facing view that materializes a source on demand.
 
-    Node ids are assigned in materialization order (so parent < child), and
-    each node carries its structural address.  Asking for children past the
-    depth budget raises DepthBudgetExceeded rather than looping forever.
+    Node ids are assigned in materialization order (so parent < child).
+    Asking for children past the depth budget raises DepthBudgetExceeded
+    rather than looping forever.
     """
 
     def __init__(self, source: TreeSource, budget: int = DEFAULT_BUDGET):
         self.source = source
         self.budget = budget
-        self._parents: list[int] = [-1]
         self._lengths: list[Fraction | None] = [None]
         self._depths: list[int] = [0]
         self._states: list[object] = [source.root_state()]
@@ -326,8 +331,7 @@ class LazyView:
                 raise DepthBudgetExceeded(f"expansion past depth {self.budget}")
             ids = []
             for ln, child_state in self.source.state_children(state, d):
-                ids.append(len(self._parents))
-                self._parents.append(v)
+                ids.append(len(self._depths))
                 self._lengths.append(ln)
                 self._depths.append(d + 1)
                 self._states.append(child_state)
@@ -340,18 +344,6 @@ class LazyView:
 
     def capacity(self, v: int) -> Capacity | None:
         return self.source.state_capacity(self._states[v], self._depths[v])
-
-    def address(self, v: int) -> tuple[int, ...]:
-        # Reconstructed on demand: storing every node's address outright
-        # costs quadratic memory on long chains, and reports only ask for
-        # a handful of shallow edges.
-        rev = []
-        while v != 0:
-            p = self._parents[v]
-            rev.append(self._children[p].index(v))
-            v = p
-        rev.reverse()
-        return tuple(rev)
 
     def length_scale(self) -> int | None:
         return self.source.length_scale()

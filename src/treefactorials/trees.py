@@ -118,11 +118,8 @@ class RootedTree:
 
     @cached_property
     def addresses(self) -> tuple[tuple[int, ...], ...]:
-        """Per node, the path of child indices from the root.
-
-        Structural coordinates shared with lazily generated views of the
-        same source, used to align edges between independent computations.
-        """
+        """Per node, the path of child indices from the root: coordinates
+        that align the edges of two expansions of the same source."""
         addr: list[tuple[int, ...]] = [()] * len(self)
         for v in range(len(self)):
             for i, c in enumerate(self.children[v]):

@@ -294,6 +294,66 @@ def bhargava_by_primes(elements, n_max: int) -> list[int]:
     return out
 
 
+def coprime_base_by_scan(numbers) -> list[int]:
+    """The coprime base of adelic._coprime_base by its plain loop: every
+    pending value is compared with each base element in turn."""
+    base: list[int] = []
+    pending = list({abs(x) for x in numbers})
+    while pending:
+        y = pending.pop()
+        if y == 1:
+            continue
+        for i, b in enumerate(base):
+            g = math.gcd(y, b)
+            if g > 1:
+                base[i] = base[-1]
+                base.pop()
+                pending += (g, b // g, y // g)
+                break
+        else:
+            base.append(y)
+    return sorted(base)
+
+
+def realize_lengths_by_fractions(seq, orders) -> tuple:
+    """Edge lengths (root first, None) of realize.realize_lengths, summed in
+    Fraction arithmetic, with its NotBiased check and message."""
+    from treefactorials import NotBiased
+
+    d, depth = seq.d, seq.depth
+    offsets = [0]
+    for n in range(depth + 1):
+        offsets.append(offsets[-1] + d**n)
+    parents = [-1] * offsets[depth + 1]
+    lengths: list = [None] * offsets[depth + 1]
+    for gen in range(1, depth + 1):
+        for slot in range(d**gen):
+            parents[offsets[gen] + slot] = offsets[gen - 1] + slot // d
+    for gen in range(1, depth + 1):
+        group = seq.groups[gen]
+        lo = group[0] / 2
+        below: dict[int, int] = {}
+        for i, slot in enumerate(orders.slot_order(gen, d**gen)):
+            v = offsets[gen] + slot
+            acc = Fraction(0)
+            u, j = parents[v], gen - 1
+            while j >= 1:
+                acc += (d ** (gen - j) + below.get(u, 0)) * lengths[u]
+                u, j = parents[u], j - 1
+            value = group[i] - acc
+            if not lo <= value <= group[i]:
+                raise NotBiased(
+                    f"generation {gen}, position {i + 1}: edge length {value} "
+                    f"falls outside [{lo}, {group[i]}]"
+                )
+            lengths[v] = value
+            u = parents[v]
+            while u != 0:
+                below[u] = below.get(u, 0) + 1
+                u = parents[u]
+    return tuple(lengths)
+
+
 def dense_resistance(tree) -> Fraction:
     """Root-to-ground resistance by Gaussian elimination on the full vertex
     Laplacian: infinite-capacity leaves are pinned to potential 0, a unit

@@ -3,7 +3,9 @@
 import itertools
 import math
 import random
+import re
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +20,17 @@ from treefactorials import (
     bhargava_factorials,
     expand,
     factorials_prime,
+    factorials_weighting,
     greedy_bhargava_oracle,
     legendre,
+    limit_estimate,
     parse_generator_spec,
     superadditivity_gap,
 )
-from treefactorials.adelic import _coprime_base
+from treefactorials.adelic import _coprime_base, _difference_base
 from treefactorials.sources import _is_prime
+
+F = Fraction
 
 small_sets = st.lists(st.integers(-100, 100), min_size=1, max_size=8, unique=True).map(tuple)
 
@@ -167,6 +173,111 @@ class TestFactorialsPrime:
     def test_superadditive(self):
         vals = factorials_prime(tuple(range(12)), 3, 11).values
         assert superadditivity_gap(vals) is None
+
+
+def weighting_reference(elements, q, n_max):
+    """e_q by the engine route the residue merge replaced: a weighting run
+    on the lazy residue tree."""
+    source = AdelicSetSource(tuple(sorted(elements)), q)
+    return factorials_weighting(source, n_max).sequence.values
+
+
+class TestResidueMerge:
+    """factorials_prime merges residue classes; the weighting run on
+    AdelicSetSource is the reference."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_weighting_run(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            k = rng.randint(1, 14)
+            kind = rng.randrange(4)
+            if kind == 0:
+                s = rng.sample(range(-300, 300), k)
+            elif kind == 1:
+                s = list({rng.randrange(10**39, 10**40) for _ in range(k)})
+            elif kind == 2:
+                # every difference divisible by c: the root is a unary chain
+                c, r = rng.choice([2**12, 3**9, 6**6, 10**5]), rng.randrange(10**6)
+                s = [r + c * x for x in rng.sample(range(-60, 60), k)]
+            else:
+                s = rng.sample(range(10**6), k)
+            q = rng.choice([2, 3, 4, 6, 9, 10, 12, 35, 97, 1000003])
+            n = rng.randrange(len(s))
+            assert factorials_prime(s, q, n).values == weighting_reference(s, q, n), (s, q, n)
+
+    def test_full_length_on_composite_moduli(self):
+        rng = random.Random(77)
+        for q in (4, 6, 12, 2**5 * 3, 10**3):
+            s = rng.sample(range(-10**5, 10**5), 25)
+            assert factorials_prime(s, q, 24).values == weighting_reference(s, q, 24)
+
+    def test_modulus_dividing_every_difference(self):
+        # S = 7 + 5**12 * T: the root is a chain of 12 whole levels above
+        # the residue tree of T.
+        t = (0, 1, 3, 4, 9, 12, 20)
+        s = tuple(7 + 5**12 * x for x in t)
+        want = tuple(v + 12 * n for n, v in enumerate(factorials_prime(t, 5, 6).values))
+        assert factorials_prime(s, 5, 6).values == want == weighting_reference(s, 5, 6)
+
+    def test_long_chain(self):
+        with helpers.deadline(2):
+            assert factorials_prime((0, 2**3000), 2, 1).values == (0, 3000)
+
+    def test_one_split_per_level(self):
+        s = (0,) + tuple(2**k for k in range(300))
+        with helpers.deadline(5):
+            got = factorials_prime(s, 2, len(s) - 1).values
+        assert got == weighting_reference(s, 2, len(s) - 1)
+
+    def test_terms_are_ints(self):
+        seq = factorials_prime(range(9), 2, 8)
+        assert all(type(v) is int for v in seq.values)
+        # The limit estimate stays exact on int terms.
+        lim = limit_estimate(seq)
+        assert (lim.value, lim.lower_bound) == (F(7, 8), F(7, 8))
+        assert type(lim.value) is F
+
+    def test_bad_modulus(self):
+        for p in (1, 0, -3, 2.0):
+            with pytest.raises(StructureError, match="modulus must be an integer >= 2"):
+                factorials_prime((0, 1, 2), p, 1)
+
+
+class TestElementCheck:
+    """Set elements must be ints; the error names the first one that is not."""
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 1.5, 2.0, "3", None])
+    def test_every_entry_point_rejects(self, bad):
+        text = re.escape(f"set elements must be integers, got {bad!r}")
+        for call in (
+            lambda: factorials_prime((0, bad), 2, 1),
+            lambda: bhargava_factorials((0, bad), 1),
+            lambda: greedy_bhargava_oracle((0, bad), 1),
+            lambda: AdelicSetSource((0, bad), 2),
+        ):
+            with pytest.raises(StructureError, match=text):
+                call()
+
+    def test_no_modulus_error_for_a_bad_element(self):
+        with pytest.raises(StructureError) as exc:
+            bhargava_factorials((0, 1.5), 1)
+        assert "modulus" not in str(exc.value) and "1.5" in str(exc.value)
+
+
+class TestCoprimeBaseByProduct:
+    @settings(max_examples=80, deadline=None)
+    @given(TestCoprimeBase.numbers)
+    def test_same_base_as_the_plain_scan(self, numbers):
+        assert _coprime_base(numbers) == oracles.coprime_base_by_scan(numbers)
+
+    def test_difference_bases_of_wide_sets(self):
+        rng = random.Random(11)
+        for digits in (3, 12, 18, 40):
+            for _ in range(5):
+                s = list({rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(16)})
+                diffs = [b - a for a, b in itertools.combinations(sorted(s), 2)]
+                assert _difference_base(tuple(sorted(s))) == oracles.coprime_base_by_scan(diffs)
 
 
 class TestBhargava:

@@ -24,10 +24,12 @@ from treefactorials import (
     SphericalSource,
     StructureError,
     capacity_bound,
+    equidistribution_check,
     factorials_greedy_oracle,
     factorials_minmax,
     factorials_removed,
     factorials_weighting,
+    unit_current_flow,
 )
 from treefactorials.sources import LazyView
 
@@ -278,10 +280,10 @@ class TestPartialUnitFlow:
 
     def test_normalized_weights_sum_to_one_per_level(self):
         run = factorials_weighting(RegularSource(2), 500)
-        norm = run.normalized_weights_by_address()
+        rows = equidistribution_check(run, unit_current_flow(RegularSource(2), 2), 2).rows
         for depth in (1, 2):
-            level = [x for a, x in norm.items() if len(a) == depth]
-            assert sum(level) == 1
+            level = [w for a, w, _ in rows if len(a) == depth]
+            assert len(level) == 2**depth and sum(level) == 1
 
 
 class TestTrace:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -250,6 +252,31 @@ class TestEquidistribution:
         fl = unit_current_flow(RegularSource(2), 3)
         rep = equidistribution_check(run, fl, 3)
         assert float(rep.max_deviation) < 0.01
+
+    @settings(max_examples=40, deadline=None)
+    @given(helpers.small_trees(max_edges=8), st.integers(1, 12), st.integers(1, 4))
+    def test_weights_keyed_by_address(self, t, n, depth):
+        # An explicit tree's view keeps its ids, so tree.addresses keys every
+        # weighted edge; an edge the run never reached reads 0.
+        run = factorials_weighting(t, n)
+        try:
+            fl = unit_current_flow(t, depth)
+        except AllOpenCircuit:
+            return
+        omega = {t.addresses[v]: F(w, run.steps) for v, w in run.weights.items()}
+        rows = equidistribution_check(run, fl, depth).rows
+        assert [a for a, _, _ in rows] == sorted(fl.tree.addresses[1:])
+        assert all(w == omega.get(a, 0) for a, w, _ in rows)
+
+    def test_reads_only_weighted_vertices(self):
+        # A short run weights a few vertices of a deep truncation; the lookup
+        # materializes nothing more, and the unreached edges read 0.
+        run = factorials_weighting(RegularSource(3), 5)
+        before = len(run.view._depths)
+        rep = equidistribution_check(run, unit_current_flow(RegularSource(3), 4), 4)
+        assert len(run.view._depths) == before
+        assert len(rep.rows) == 3 + 9 + 27 + 81
+        assert sum(w > 0 for _, w, _ in rep.rows) == len(run.weights)
 
 
 class TestEscape:

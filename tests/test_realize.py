@@ -1,10 +1,14 @@
 """Inverting biased sequences into length functions on the regular tree."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from helpers import canonical_form, canonical_skeleton
+from treefactorials import realize
 from treefactorials import (
     BiasedSequence,
     Mismatch,
@@ -115,6 +119,60 @@ class TestRealizeLengths:
     def test_order_choice_must_be_a_permutation(self):
         with pytest.raises(StructureError):
             verify_roundtrip(TWINS, OrderChoice({2: (0, 0, 1, 3)}))
+
+
+def rational_sequence(rng, d, depth, denominators) -> BiasedSequence:
+    """A staircase-like biased sequence whose targets carry random fractional
+    parts over the given denominators."""
+    groups = [(0,) * d]
+    running = 0
+    for n in range(1, depth + 1):
+        running += groups[-1][-1]
+        step = math.ceil(running) + 1
+        value = 4 * d**n * (step + 2 * d**n * step) + d**n
+        group = []
+        for _ in range(d**n):
+            value += step + rng.randrange(step)
+            q = rng.choice(denominators)
+            group.append(value + F(rng.randrange(q), q))
+        groups.append(tuple(group))
+    return BiasedSequence(d, tuple(groups))
+
+
+class TestScaledLengths:
+    """realize_lengths sums scaled integers; the Fraction loop is the
+    reference for every length and for the NotBiased message."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rational_rows_match_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        d = rng.choice((2, 3))
+        seq = rational_sequence(rng, d, rng.randint(1, 5 if d == 2 else 3), (2, 3, 7, 10, 11, 97))
+        assert any(x.denominator > 1 for x in seq.flattened())
+        perm = list(range(d**seq.depth))
+        rng.shuffle(perm)
+        for orders in (OrderChoice(), OrderChoice({seq.depth: tuple(perm)})):
+            got = realize_lengths(seq, orders).lengths
+            assert got == oracles.realize_lengths_by_fractions(seq, orders)
+            assert all(type(x) is F for x in got[1:])
+
+    def test_not_biased_message_is_unchanged(self):
+        seq = BiasedSequence(2, ((0, 0), (10, 12), (30, 31, 32, 33)))
+        with pytest.raises(NotBiased) as exc:
+            realize_lengths(seq)
+        assert str(exc.value) == "generation 2 first value fails the bias inequality"
+
+    def test_window_message_matches_reference(self, monkeypatch):
+        # The bias inequality keeps every length inside its window, so the
+        # window check is reached only with the inequality switched off.
+        monkeypatch.setattr(realize, "is_sufficiently_biased", lambda seq: (True, None))
+        seq = BiasedSequence(2, ((0, 0), (F(10, 3), F(25, 6)), (F(31, 2), 16, 17, F(35, 2))))
+        with pytest.raises(NotBiased) as want:
+            oracles.realize_lengths_by_fractions(seq, OrderChoice())
+        with pytest.raises(NotBiased) as got:
+            realize_lengths(seq)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "generation 2, position 2: edge length 6 falls outside [31/4, 16]"
 
 
 class TestRoundtrip:
