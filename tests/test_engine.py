@@ -453,3 +453,42 @@ class TestGoldenTraces:
         assert sum(o.startswith("Exhausted(") for o in outcomes) > 20
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
         assert digest == self.SINGLE_VERTEX_DIGEST
+
+    LAMBDA_DIGEST = "6221bdb6a1bcac16d82e41a81f960eb11f3d9bbe628fe25e3736128ccaa3723a"
+
+    @staticmethod
+    def lambda_outcomes():
+        # Non-integer lambdas give every level a new denominator, so the
+        # engine's length scale has to cover each level as the run reaches it.
+        # Each base comes with its last index: the adelic set has 19 terms.
+        bases = (
+            (RegularSource(2), 600),
+            (RegularSource(3), 600),
+            (SphericalSource((2, 3), (F(1, 2), F(2, 3))), 600),
+            # Classes that stay whole for 30 to 50 levels: long unary chains.
+            (AdelicSetSource(tuple(range(0, 48, 3)) + (2**40, 2**40 + 2**30, 7 * 2**50), 2), 18),
+        )
+        for i, (base, n) in enumerate(bases):
+            for lam in (F(1, 2), F(2, 3), F(5, 7)):
+                src = LambdaScaledSource(base, lam)
+                for policy in (Canonical, lambda: SeededRandom(i)):
+                    for t in (0, 1):
+                        run = factorials_removed(src, t, n, policy(), record_trace=True)
+                        yield repr((run.sequence.values, run.trace, run.weights))
+
+    def test_lambda_runs_match_the_pinned_digest(self):
+        outcomes = list(self.lambda_outcomes())
+        assert len(outcomes) == 4 * 3 * 2 * 2
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.LAMBDA_DIGEST
+
+
+class TestDeepLengthScale:
+    def test_halving_chain_of_3000_levels_stays_fast(self):
+        # Edge k of the chain has length 2^-k, so each level needs a larger
+        # common denominator; 0.135 s on a 2-vCPU VM, where covering each
+        # level by its own rescale took 1.15 s.
+        src = LambdaScaledSource(AdelicSetSource((0, 2**3000), 2), F(1, 2))
+        with helpers.deadline(0.6):
+            values = weighting_values(src, 2)
+        assert values == (0, 2 - F(1, 2**2999))
