@@ -99,15 +99,23 @@ def factorials_prime(elements, p: int, n_max: int) -> FactorialSequence:
     return FactorialSequence(tuple(values), f"adelic(p={p})")
 
 
+# Base elements per product that _coprime_base tests a pending value against.
+_CHUNK = 16
+
+
 def _coprime_base(numbers) -> list[int]:
     """Pairwise coprime integers > 1, sorted, such that every |x| for x in
     `numbers` (all nonzero) is a product of their powers.  No factoring:
     a pending y that shares g = gcd(y, b) > 1 with a base element b replaces
     b by g, b // g and y // g, which keeps every x such a product and lowers
     the product of all base and pending values by g, so the loop ends.  A y
-    coprime to the product of the base joins it with no scan."""
+    coprime to the product of the base joins it with no scan; otherwise the
+    first such b is found through the products of consecutive chunks of
+    _CHUNK base elements, scanning only the first chunk that shares a
+    factor with y."""
     base: list[int] = []
     product = 1
+    chunks: list[int] = []  # chunks[k]: product of base[_CHUNK * k : _CHUNK * (k + 1)]
     pending = list({abs(x) for x in numbers})
     while pending:
         y = pending.pop()
@@ -116,15 +124,26 @@ def _coprime_base(numbers) -> list[int]:
         if math.gcd(y, product) == 1:
             base.append(y)
             product *= y
+            if len(base) % _CHUNK == 1:
+                chunks.append(y)
+            else:
+                chunks[-1] *= y
             continue
-        for i, b in enumerate(base):
-            g = math.gcd(y, b)
-            if g > 1:
-                base[i] = base[-1]
-                base.pop()
-                product //= b
-                pending += (g, b // g, y // g)
-                break
+        k = next(k for k, c in enumerate(chunks) if math.gcd(y, c) > 1)
+        i = next(i for i in range(_CHUNK * k, _CHUNK * (k + 1)) if math.gcd(y, base[i]) > 1)
+        b = base[i]
+        product //= b
+        # The last element moves into slot i.
+        last = base.pop()
+        if len(base) % _CHUNK:
+            chunks[-1] //= last
+        else:
+            chunks.pop()
+        if i < len(base):
+            base[i] = last
+            chunks[i // _CHUNK] = chunks[i // _CHUNK] // b * last
+        g = math.gcd(y, b)
+        pending += (g, b // g, y // g)
     return sorted(base)
 
 

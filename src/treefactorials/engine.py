@@ -15,10 +15,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import Exhausted, IndexOutOfRange, StructureError
 from .sequences import FactorialSequence
-from .sources import DEFAULT_BUDGET, view_of
+from .sources import DEFAULT_BUDGET, LambdaScaledSource, RegularSource, SphericalSource, view_of
 from .trees import INF, RootedTree
 
 __all__ = [
@@ -98,6 +99,15 @@ class WeightingRun:
         return len(self.sequence.values)
 
 
+def _is_ray(source) -> bool:
+    """Whether the source is one infinite path: every vertex has one child."""
+    if isinstance(source, LambdaScaledSource):
+        return _is_ray(source.base)
+    if isinstance(source, RegularSource):
+        return source.degree == 1
+    return isinstance(source, SphericalSource) and set(source.branching) == {1}
+
+
 def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error=False) -> WeightingRun:
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
@@ -105,17 +115,13 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
         raise StructureError("t must be >= 0")
     view = view_of(source, budget)
     policy = policy or Canonical()
-    # When every edge length times `scale` is an integer, the whole run works
-    # in scaled integers and converts back on the way out; int arithmetic
-    # beats Fraction by more than an order of magnitude on long runs.
-    scale = view.length_scale()
-    zero = 0 if scale is not None else Fraction(0)
-    if scale is not None:
-        def tofrac(v):
-            return Fraction(v, scale)
-    else:
-        def tofrac(v):
-            return v
+    # The run keeps lengths, scores and values as integers times `scale`,
+    # which turns every weighted edge's length into an integer, and returns
+    # values as Fraction(v, scale); int arithmetic beats Fraction by more
+    # than an order of magnitude on long runs.  `scale` starts at the
+    # source's length_scale() (1 when it has none) and grows when an edge's
+    # length needs a denominator it lacks.
+    scale = view.length_scale() or 1
     values: list = []
     trace: list[TraceStep] = []
     weights: dict[int, int] = {}
@@ -124,21 +130,23 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
         if exhaust_error and len(values) < n_max + 1:
             raise Exhausted(f"all boundary elements at capacity after {len(values)} terms")
         label = "weighting" if t == 0 else f"weighting-removed(t={t})"
-        seq = FactorialSequence(tuple(tofrac(v) for v in values), label)
+        seq = FactorialSequence(tuple(Fraction(v, scale) for v in values), label)
         return WeightingRun(seq, tuple(trace) if record_trace else None, weights, view)
 
     root_kids = view.children(0)
-    values.append(zero)
+    values.append(0)
     if record_trace:
-        trace.append(TraceStep(0, 0, "init", tofrac(zero)))
+        trace.append(TraceStep(0, 0, "init", Fraction(0)))
     if n_max == 0:
         return finish()
+    if _is_ray(source):
+        raise StructureError("a single infinite ray has no finite a_1: its only path never branches or ends")
 
     # Hierarchical argmin over lists indexed by node id.  A vertex enters
     # the lists when it is weighted: kids[v] is its children tuple, par[v]
-    # its parent, elen[v] its edge length (times `scale` when scaled), and
-    # room[v] how often v itself can still be chosen: its count of
-    # unweighted children, or for a leaf its capacity minus its weight.
+    # its parent, elen[v] its edge length times `scale`, and room[v] how
+    # often v itself can still be chosen: its count of unweighted children,
+    # or for a leaf its capacity minus its weight.
     # up[v] is the least (score, key, id) triple over unsaturated vertices in
     # v's weighted subtree, with the score measured from v's parent (v's own
     # edge term included), or None when that subtree has none; key is the
@@ -171,10 +179,20 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
     # A single-vertex tree's root is its own leaf.
     room[0] = len(root_kids) if root_kids else view.capacity(0) - 1
 
+    def grow(den: int):
+        """Make `scale` a multiple of den and at least its own square, so a
+        run rescales O(log depth) times, and rescale every stored integer."""
+        nonlocal scale
+        new = lcm(scale * scale, den)
+        f = new // scale
+        scale = new
+        elen[:] = [e if e is None else e * f for e in elen]
+        up[:] = [b if b is None else (b[0] * f, b[1], b[2]) for b in up]
+        values[:] = [v * f for v in values]
+
     def weigh_chain(start: int, first: int):
         """Give weight 1 to the strict path through edge (start, first),
         which ends at a branching vertex or a leaf, and set its entries."""
-        chain = []
         prev, cur = start, first
         while True:
             room[prev] -= 1
@@ -187,60 +205,71 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
             kids[cur] = ks
             par[cur] = prev
             L = length(cur)
-            # Integral by the length_scale contract.
-            elen[cur] = L.numerator * (scale // L.denominator) if scale is not None else L
+            den = L.denominator
+            if scale % den:
+                grow(den)
+            elen[cur] = L.numerator * (scale // den)
             room[cur] = len(ks) if ks else view.capacity(cur) - 1
-            chain.append(cur)
             if len(ks) != 1:
                 break
             prev, cur = cur, ks[0]
-        for v in reversed(chain):
-            recompute(v, 1)
+        # The chain's end has no weighted child and the vertices above it on
+        # the chain are saturated, so a chain vertex's entry is the end's own
+        # plus the chain's edge lengths from that vertex down, which weight 1
+        # counts only at t = 0.
+        b = (0, key(cur), cur) if room[cur] else None
+        while cur != start:
+            if b is not None and not t:
+                b = (elen[cur] + b[0], b[1], b[2])
+            up[cur] = b
+            cur = par[cur]
 
-    def recompute(v: int, w: int):
-        """Set up[v] from v's own entry and its children's; the root passes
-        w = 0, which adds no edge term."""
-        # room never drops below 0, so a falsy room means v is saturated.
-        b = (zero, key(v), v) if room[v] else None
-        for c in kids[v]:
-            bc = up[c]
-            if bc is not None and (b is None or bc < b):
-                b = bc
-        up[v] = ((w - t) * elen[v] + b[0], b[1], b[2]) if b is not None and w > t else b
+    def settle(u: int):
+        """Add 1 to the weight of every edge from u up to the root and reset
+        the entries on that path bottom-up; the root adds no edge term."""
+        while True:
+            # room never drops below 0, so a falsy room means u is saturated.
+            b = (0, key(u), u) if room[u] else None
+            for c in kids[u]:
+                bc = up[c]
+                if bc is not None and (b is None or bc < b):
+                    b = bc
+            if not u:
+                up[0] = b
+                return
+            w = weights[u] + 1
+            weights[u] = w
+            up[u] = ((w - t) * elen[u] + b[0], b[1], b[2]) if b is not None and w > t else b
+            u = par[u]
 
     if root_kids:
         weigh_chain(0, min(root_kids, key=key))
-    recompute(0, 0)
+    settle(0)
 
     for n in range(1, n_max + 1):
         if up[0] is None:
             break  # no unsaturated vertices remain: the sequence is complete
         s, _, x = up[0]
         values.append(s)
+        if record_trace:
+            # Read before a chain below can grow the scale.
+            value = Fraction(s, scale)
         kx = kids[x]
         if not kx:
             case = "2.2"
             room[x] -= 1
+        elif room[x] < len(kx):
+            case = "1"
+            weigh_chain(x, min([c for c in kx if c not in weights], key=key))
         else:
-            pendings = [c for c in kx if c not in weights]
-            if len(pendings) < len(kx):
-                case = "1"
-                weigh_chain(x, min(pendings, key=key))
-            else:
-                case = "2.1"
-                z, w = sorted(pendings, key=key)[:2]
-                weigh_chain(x, z)
-                weigh_chain(x, w)
+            case = "2.1"
+            z, w = sorted(kx, key=key)[:2]
+            weigh_chain(x, z)
+            weigh_chain(x, w)
         # Every edge on the root-to-x path gains weight 1.
-        u = x
-        while u:
-            w = weights[u] + 1
-            weights[u] = w
-            recompute(u, w)
-            u = par[u]
-        recompute(0, 0)
+        settle(x)
         if record_trace:
-            trace.append(TraceStep(n, x, case, tofrac(s)))
+            trace.append(TraceStep(n, x, case, value))
     return finish()
 
 

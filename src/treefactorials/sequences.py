@@ -31,16 +31,61 @@ def _scaled(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _int64_array(scaled):
-    """The scaled values as an int64 array, or None when numpy is missing or
-    the sum of two values could overflow int64."""
+# Cells compared at once by the numpy sweep: rows of the pair triangle
+# times the longest row in the block.
+_BLOCK_CELLS = 2**18
+
+
+def _narrow_array(scaled):
+    """The scaled values as an array of the narrowest of int16, int32 and
+    int64 that holds twice their largest magnitude, so neither a pairwise
+    sum nor the sweep's padding wraps; None when numpy is missing or no
+    int64 holds that bound."""
     try:
         import numpy as np
     except ImportError:
         return None
-    if max(abs(x) for x in scaled) >= 2**62:
-        return None
-    return np.array(scaled, dtype=np.int64)
+    bound = 2 * max(max(scaled), -min(scaled))
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return np.array(scaled, dtype=dtype)
+    return None
+
+
+def _row_blocks(K: int):
+    """Rows m = 1 .. (K - 1) // 2 of the pair triangle in consecutive
+    blocks [m0, m1) of at most _BLOCK_CELLS cells, each row counted as long
+    as the block's first, K - 2 * m0."""
+    m0, last = 1, (K + 1) // 2
+    while m0 < last:
+        m1 = min(last, m0 + max(1, _BLOCK_CELLS // (K - 2 * m0)))
+        yield m0, m1
+        m0 = m1
+
+
+def _numpy_gap(arr) -> tuple[int, int] | None:
+    """superadditivity_gap over an array from _narrow_array.
+
+    Row m compares a_{2m+j} with a_m + a_{m+j} for j = 0 .. K-2m-1.  A block
+    of rows reads windows of one fixed width out of two padded copies: past
+    the end, the a_{m+n} side reads twice the largest magnitude and the a_n
+    side 0, so a padded cell is never below its sum."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    K = len(arr)
+    top = 2 * int(np.abs(arr).max())
+    lhs = np.concatenate((arr, np.full(K, top, dtype=arr.dtype)))
+    rhs = np.concatenate((arr, np.zeros(K, dtype=arr.dtype)))
+    for m0, m1 in _row_blocks(K):
+        width = K - 2 * m0
+        sums = arr[m0:m1, None] + sliding_window_view(rhs, width)[m0:m1]
+        bad = sliding_window_view(lhs, width)[2 * m0 : 2 * m1 : 2] < sums  # noqa: E203
+        cell = int(bad.argmax())
+        if bad.flat[cell]:
+            m = m0 + cell // width
+            return (m, m + cell % width)
+    return None
 
 
 def superadditivity_gap(values) -> tuple[int, int] | None:
@@ -48,29 +93,25 @@ def superadditivity_gap(values) -> tuple[int, int] | None:
 
     Checks every pair m <= n, in order of m, then n, on the values times
     their common denominator, so every comparison is between integers.
-    Sequences longer than 1500 terms are checked as int64 arrays when numpy
-    is installed and every scaled value stays below 2**62 in magnitude, so
-    no pairwise sum wraps; otherwise by an exact loop over Python ints.
+    Sequences longer than 1500 terms are checked with numpy when it is
+    installed and an int64 holds twice the largest scaled magnitude: the
+    values go into the narrowest of int16, int32 and int64 that holds that
+    bound, and rows of the pair triangle are compared in blocks of up to
+    2**18 cells through sliding windows, padded past the end so no padded
+    cell reads as a violation.  Otherwise an exact loop over Python ints
+    checks them.
     """
     K = len(values)
     a, _ = _scaled(values)
-    arr = _int64_array(a) if K > 1500 else None
-    if arr is None:
-        for m in range(1, (K + 1) // 2):
-            # a_{m+n} against a_m + a_n for n = m .. K-m-1, stopping at the
-            # first n that breaks it.
-            sums = map(add, repeat(a[m]), a[m : K - m])  # noqa: E203
-            n = next(compress(count(m), map(lt, a[2 * m :], sums)), None)  # noqa: E203
-            if n is not None:
-                return (m, n)
-        return None
-    for m in range(1, K):
-        rest = arr[2 * m : K]  # noqa: E203
-        if rest.size == 0:
-            break
-        bad = (rest < arr[m] + arr[m : K - m]).nonzero()[0]  # noqa: E203
-        if bad.size:
-            n = m + int(bad[0])
+    arr = _narrow_array(a) if K > 1500 else None
+    if arr is not None:
+        return _numpy_gap(arr)
+    for m in range(1, (K + 1) // 2):
+        # a_{m+n} against a_m + a_n for n = m .. K-m-1, stopping at the
+        # first n that breaks it.
+        sums = map(add, repeat(a[m]), a[m : K - m])  # noqa: E203
+        n = next(compress(count(m), map(lt, a[2 * m :], sums)), None)  # noqa: E203
+        if n is not None:
             return (m, n)
     return None
 

@@ -54,8 +54,9 @@ class TreeSource:
 
     def length_scale(self) -> int | None:
         """A positive integer multiplying every edge length to an integer,
-        or None when no finite common denominator is known.  Lets exact
-        consumers run on machine integers instead of rationals."""
+        or None when no finite common denominator is known.  The weighting
+        engine starts its integer scale here; from None it starts at 1 and
+        grows as the run meets new denominators."""
         return None
 
 
@@ -151,7 +152,8 @@ class LambdaScaledSource(TreeSource):
 
     def length_scale(self):
         # lam**k for every k has a single integer multiplier only when lam
-        # itself is an integer.
+        # itself is an integer; otherwise the engine grows its scale level
+        # by level.
         return 1 if self.lam.denominator == 1 else None
 
 

@@ -280,6 +280,22 @@ class TestCoprimeBaseByProduct:
                 assert _difference_base(tuple(sorted(s))) == oracles.coprime_base_by_scan(diffs)
 
 
+class TestCoprimeBaseByChunks:
+    def test_bases_over_many_chunks(self):
+        # Bases of up to a few hundred elements, so removals and splits hit
+        # every position in a chunk, the last chunk and chunks that empty.
+        rng = random.Random(16)
+        for _ in range(300):
+            numbers = []
+            for _ in range(rng.randrange(1, 80)):
+                if rng.random() < 0.5:
+                    numbers.append(rng.randrange(1, 10 ** rng.randrange(1, 20)))
+                else:
+                    numbers.append(rng.randrange(1, 60) * rng.choice((6, 10, 15, 2**40, 3**20, 2**61 - 1)))
+            numbers = [x * rng.choice((1, -1)) for x in numbers]
+            assert _coprime_base(numbers) == oracles.coprime_base_by_scan(numbers)
+
+
 class TestBhargava:
     def test_initial_segment_gives_plain_factorials(self):
         got = bhargava_factorials(tuple(range(13)), 12)

@@ -63,7 +63,23 @@ class TestFactorials:
     def test_infinite_path_is_domain_error(self):
         code, _, err = run_cli("factorials", "--gen", "regular d=1", "--n", "2")
         assert code == 1
-        assert err.startswith("DepthBudgetExceeded:")
+        assert err.startswith("StructureError:")
+
+    @pytest.mark.parametrize(
+        "spec",
+        (
+            "regular d=1",
+            "spherical b=1",
+            "spherical b=1,1 length=1/2,2",
+            "lambda base=(regular d=1) lambda=1/2",
+            "lambda base=(spherical b=1) lambda=3",
+        ),
+    )
+    def test_ray_fails_fast(self, spec):
+        with helpers.deadline(1):
+            code, out, err = run_cli("factorials", "--gen", spec, "--n", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("StructureError: a single infinite ray has no finite a_1")
 
     def test_trace(self):
         code, out, _ = run_cli("factorials", "--gen", "regular d=2", "--n", "2", "--trace")

@@ -492,3 +492,37 @@ class TestDeepLengthScale:
         with helpers.deadline(0.6):
             values = weighting_values(src, 2)
         assert values == (0, 2 - F(1, 2**2999))
+
+
+class TestRaySource:
+    """A source whose every vertex has one child is a single infinite path,
+    which never reaches a branching vertex or a leaf."""
+
+    RAYS = (
+        RegularSource(1),
+        RegularSource(1, F(1, 3)),
+        SphericalSource((1,)),
+        SphericalSource((1, 1), (F(1, 2), F(2))),
+        LambdaScaledSource(RegularSource(1), F(1, 2)),
+        LambdaScaledSource(SphericalSource((1,)), F(3)),
+        LambdaScaledSource(LambdaScaledSource(RegularSource(1), F(2, 3)), F(1, 2)),
+    )
+
+    @pytest.mark.parametrize("src", RAYS)
+    @pytest.mark.parametrize("t", (0, 1))
+    def test_ray_fails_fast(self, src, t):
+        with helpers.deadline(1):
+            with pytest.raises(StructureError, match="single infinite ray has no finite a_1"):
+                factorials_removed(src, t, 3)
+            assert factorials_removed(src, t, 0).sequence.values == (0,)
+
+    @pytest.mark.parametrize(
+        "src, values",
+        (
+            (SphericalSource((1, 1, 0)), (0,)),
+            (SphericalSource((1, 2)), (0, 1, 4)),
+            (LambdaScaledSource(SphericalSource((1, 2)), F(1, 2)), (0, 1, F(11, 4))),
+        ),
+    )
+    def test_unary_levels_that_end_or_branch_are_not_rays(self, src, values):
+        assert weighting_values(src, 2) == values

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from treefactorials import sequences
 from treefactorials import (
     FactorialSequence,
     RegularSource,
@@ -118,6 +119,94 @@ class TestSuperadditivity:
     def test_weighting_output_is_superadditive(self):
         vals = factorials_weighting(RegularSource(3), 200).sequence.values
         assert superadditivity_gap(vals) is None
+
+
+def step_at(m, K, slope=1, rise=1):
+    """a_n = slope * n, plus `rise` from n = m on: additive before and after
+    the step, so rows below m hold and the first pair that breaks is (m, m)."""
+    return [slope * n + (rise if n >= m else 0) for n in range(K)]
+
+
+class TestBlockedSweep:
+    """The numpy sweep against the int loop and the literal definition."""
+
+    @staticmethod
+    def three_ways(values, monkeypatch):
+        calls = helpers.count_calls(monkeypatch, sequences, "_numpy_gap")
+        swept = superadditivity_gap(values)
+        assert len(calls) == 1
+        with monkeypatch.context() as mp:
+            mp.setitem(sys.modules, "numpy", None)
+            looped = superadditivity_gap(values)
+        assert len(calls) == 1
+        return swept, looped, literal_gap(values)
+
+    @pytest.mark.parametrize(
+        "bound, dtype",
+        (
+            (2**14 - 1, "int16"),
+            (2**14, "int32"),
+            (2**15 - 1, "int32"),
+            (2**15, "int32"),
+            (2**30 - 1, "int32"),
+            (2**30, "int64"),
+            (2**31 - 1, "int64"),
+            (2**31, "int64"),
+            (2**62 - 1, "int64"),
+        ),
+    )
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_bounds(self, bound, dtype, sign, monkeypatch):
+        # The largest magnitude is exactly `bound`: a raised last term or a
+        # lowered a_1 adds no violation, as neither is ever a sum of two.
+        K = 1501
+        values = step_at(600, K, slope=sign * (bound // (2 * K)))
+        if sign > 0:
+            values[-1] = bound
+        else:
+            values[1] = -bound
+        assert str(sequences._narrow_array(values).dtype) == dtype
+        assert self.three_ways(values, monkeypatch) == ((600, 600),) * 3
+        values[600:-1] = [v - 1 for v in values[600:-1]]
+        assert self.three_ways(values, monkeypatch) == (None,) * 3
+
+    @pytest.mark.parametrize("bound", (2**62, 2**63, 2**100))
+    def test_bound_past_int64_takes_the_int_loop(self, bound, monkeypatch):
+        values = step_at(700, 1501)
+        values[-1] = bound
+        assert sequences._narrow_array(values) is None
+        calls = helpers.count_calls(monkeypatch, sequences, "_numpy_gap")
+        assert superadditivity_gap(values) == literal_gap(values) == (700, 700)
+        assert calls == []
+
+    def test_negative_values(self, monkeypatch):
+        # A linear shift keeps every a_{m+n} - a_m - a_n.
+        values = [n * n - 3000 * n for n in range(1600)]
+        assert self.three_ways(values, monkeypatch) == (None,) * 3
+        values[1599] -= 2 * 1598 + 1
+        assert self.three_ways(values, monkeypatch) == ((1, 1598),) * 3
+
+    @pytest.mark.parametrize("K", (1501, 1800))
+    def test_violation_in_the_last_row_of_each_block(self, K, monkeypatch):
+        blocks = list(sequences._row_blocks(K))
+        assert len(blocks) > 2
+        for m0, m1 in blocks:
+            m = m1 - 1
+            assert self.three_ways(step_at(m, K, slope=3), monkeypatch) == ((m, m),) * 3
+
+    def test_violations_in_the_final_block(self, monkeypatch):
+        K = 1601
+        m0, m1 = list(sequences._row_blocks(K))[-1]
+        for m in (m0, (m0 + m1) // 2, m1 - 1):
+            assert self.three_ways(step_at(m, K), monkeypatch) == ((m, m),) * 3
+        # The final cell of the triangle, (800, 800), next to the padding.
+        assert m1 - 1 == 800
+
+    def test_the_numpy_switch_is_past_1500_terms(self, monkeypatch):
+        calls = helpers.count_calls(monkeypatch, sequences, "_numpy_gap")
+        assert superadditivity_gap(step_at(600, 1500)) == (600, 600)
+        assert calls == []
+        assert self.three_ways(step_at(600, 1501), monkeypatch) == ((600, 600),) * 3
 
 
 class TestLimitEstimate:

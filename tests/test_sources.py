@@ -176,7 +176,7 @@ class TestGeneratorSpec:
 def test_budget_exceeded_is_an_error():
     # Expanding past the safety depth must refuse, never truncate silently.
     with pytest.raises(DepthBudgetExceeded):
-        factorials_weighting(RegularSource(1), 3, budget=10)
+        factorials_weighting(SphericalSource((1,) * 50 + (2,)), 3, budget=10)
     with pytest.raises(DepthBudgetExceeded):
         factorials_weighting(SphericalSource((1,) * 50 + (0,)), 1, budget=10)
 
