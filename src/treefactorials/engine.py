@@ -144,9 +144,11 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
 
     # Hierarchical argmin over lists indexed by node id.  A vertex enters
     # the lists when it is weighted: kids[v] is its children tuple, par[v]
-    # its parent, elen[v] its edge length times `scale`, and room[v] how
-    # often v itself can still be chosen: its count of unweighted children,
-    # or for a leaf its capacity minus its weight.
+    # its parent, elen[v] its edge length times `scale`, wt[v] the weight of
+    # that edge, and room[v] how often v itself can still be chosen: its
+    # count of unweighted children, or for a leaf its capacity minus its
+    # weight.  `weights` keeps the order vertices are weighted in and takes
+    # their final weights at the end.
     # up[v] is the least (score, key, id) triple over unsaturated vertices in
     # v's weighted subtree, with the score measured from v's parent (v's own
     # edge term included), or None when that subtree has none; key is the
@@ -175,6 +177,7 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
     elen: list = [None] * size
     room: list = [None] * size
     up: list = [None] * size
+    wt: list = [None] * size
     kids[0] = root_kids
     # A single-vertex tree's root is its own leaf.
     room[0] = len(root_kids) if root_kids else view.capacity(0) - 1
@@ -190,25 +193,32 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
         up[:] = [b if b is None else (b[0] * f, b[1], b[2]) for b in up]
         values[:] = [v * f for v in values]
 
+    # Lazy sources hand out one length object per level or per tree, so the
+    # scaled length is recomputed only when the object changes.
+    last_len = last_scaled = None
+
     def weigh_chain(start: int, first: int):
         """Give weight 1 to the strict path through edge (start, first),
         which ends at a branching vertex or a leaf, and set its entries."""
+        nonlocal last_len, last_scaled
         prev, cur = start, first
         while True:
             room[prev] -= 1
             ks = children(cur)
             if ks and ks[-1] >= len(kids):
                 extra = [None] * (ks[-1] + 1)
-                for a in (kids, par, elen, room, up):
+                for a in (kids, par, elen, room, up, wt):
                     a += extra
-            weights[cur] = 1
+            weights[cur] = wt[cur] = 1
             kids[cur] = ks
             par[cur] = prev
             L = length(cur)
-            den = L.denominator
-            if scale % den:
-                grow(den)
-            elen[cur] = L.numerator * (scale // den)
+            if L is not last_len:
+                den = L.denominator
+                if scale % den:
+                    grow(den)
+                last_len, last_scaled = L, L.numerator * (scale // den)
+            elen[cur] = last_scaled
             room[cur] = len(ks) if ks else view.capacity(cur) - 1
             if len(ks) != 1:
                 break
@@ -237,9 +247,11 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
             if not u:
                 up[0] = b
                 return
-            w = weights[u] + 1
-            weights[u] = w
-            up[u] = ((w - t) * elen[u] + b[0], b[1], b[2]) if b is not None and w > t else b
+            w = wt[u] + 1
+            wt[u] = w
+            if b is not None and w > t:
+                b = ((w - t) * elen[u] + b[0], b[1], b[2])
+            up[u] = b
             u = par[u]
 
     if root_kids:
@@ -263,13 +275,20 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
             weigh_chain(x, min([c for c in kx if c not in weights], key=key))
         else:
             case = "2.1"
-            z, w = sorted(kx, key=key)[:2]
+            # A pair is ordered without sort's per-call key list; both ask
+            # for keys in child order.
+            if len(kx) == 2:
+                z, w = kx if key(kx[0]) < key(kx[1]) else kx[::-1]
+            else:
+                z, w = sorted(kx, key=key)[:2]
             weigh_chain(x, z)
             weigh_chain(x, w)
         # Every edge on the root-to-x path gains weight 1.
         settle(x)
         if record_trace:
             trace.append(TraceStep(n, x, case, value))
+    for v in weights:
+        weights[v] = wt[v]
     return finish()
 
 
