@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from treefactorials import sequences
 from treefactorials import (
     FactorialSequence,
     RegularSource,
     factorials_weighting,
     limit_estimate,
+    sequences,
     superadditivity_gap,
 )
 
@@ -157,8 +157,9 @@ class TestBlockedSweep:
     )
     @pytest.mark.parametrize("sign", (1, -1))
     def test_bounds(self, bound, dtype, sign, monkeypatch):
-        # The largest magnitude is exactly `bound`: a raised last term or a
-        # lowered a_1 adds no violation, as neither is ever a sum of two.
+        # The largest magnitude is exactly `bound`.  Raising the last term,
+        # which only ever stands for a_{m+n}, or lowering a_1, which never
+        # does, adds no violation.
         K = 1501
         values = step_at(600, K, slope=sign * (bound // (2 * K)))
         if sign > 0:
