@@ -14,6 +14,7 @@ stderr), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from .engine import (
 from .errors import ParseError, TreeFactorialError
 from .realize import BiasedSequence, OrderChoice, verify_roundtrip, realize_lengths
 from .sources import _require_prime, expand, parse_generator_spec
-from .trees import INF, format_length, parse_length, parse_tree_file, serialize_tree
+from .trees import INF, _content_lines, _float, format_length, parse_length, parse_tree_file, serialize_tree
 
 
 _TRUNCATION = "truncation depth (default: a tree file's height; required with --gen)"
@@ -85,22 +86,19 @@ def _policy(args):
 
 
 def _fmt(x: Fraction, as_float: bool) -> str:
-    return repr(float(x)) if as_float else format_length(x)
+    return repr(_float(x)) if as_float else format_length(x)
 
 
 def _print_sequence(values, args) -> None:
     if args.csv:
         print("n,a_n_num,a_n_den,a_n_float")
-        for n, v in enumerate(values):
-            print(f"{n},{v.numerator},{v.denominator},{float(v)!r}")
-    else:
-        for n, v in enumerate(values):
-            print(f"a_{n} = {format_length(v)}")
+    for n, v in enumerate(values):
+        print(f"{n},{v.numerator},{v.denominator},{_float(v)!r}" if args.csv else f"a_{n} = {format_length(v)}")
 
 
 def _cmd_factorials(args) -> int:
     source = _load_source(args)
-    if args.t > 0:
+    if args.t:
         run = factorials_removed(source, args.t, args.n, _policy(args), record_trace=args.trace)
     else:
         run = factorials_weighting(source, args.n, _policy(args), record_trace=args.trace)
@@ -126,14 +124,12 @@ def _cmd_oracle_check(args) -> int:
     if a == b == c:
         print("OK: weighting == greedy == minmax")
         return 0
-    for i in range(n + 1):
-        if not (a[i] == b[i] == c[i]):
-            print(
-                f"Mismatch at n={i}: weighting={format_length(a[i])} "
-                f"greedy={format_length(b[i])} minmax={format_length(c[i])}",
-                file=sys.stderr,
-            )
-            return 1
+    i = next(i for i in range(n + 1) if not a[i] == b[i] == c[i])
+    print(
+        f"Mismatch at n={i}: weighting={format_length(a[i])} "
+        f"greedy={format_length(b[i])} minmax={format_length(c[i])}",
+        file=sys.stderr,
+    )
     return 1
 
 
@@ -145,11 +141,8 @@ def _cmd_adelic(args) -> int:
         facts = adelic_mod.bhargava_factorials(args.set, args.n)
     if args.csv:
         print("n,factorial")
-        for n, v in enumerate(facts):
-            print(f"{n},{v}")
-    else:
-        for n, v in enumerate(facts):
-            print(f"factorial({n}) = {v}")
+    for n, v in enumerate(facts):
+        print(f"{n},{v}" if args.csv else f"factorial({n}) = {v}")
     return 0
 
 
@@ -157,8 +150,7 @@ def _cmd_flow(args) -> int:
     fl = flow_mod.unit_current_flow(*_load_network(args))
     if args.csv:
         print("edge_parent,edge_child,flow_num,flow_den")
-        for v in sorted(fl.flows):
-            f = fl.flows[v]
+        for v, f in sorted(fl.flows.items()):
             print(f"{fl.tree.parents[v]},{v},{f.numerator},{f.denominator}")
         return 0
     # The escape and the walk (on the flow's own truncation) are computed
@@ -194,10 +186,7 @@ def _cmd_branching(args) -> int:
 
 def _parse_sequence_file(text: str, d: int) -> BiasedSequence:
     rows: dict[int, dict[int, Fraction]] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _content_lines(text):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
             raise ParseError("expected 'generation,position,value'", line=ln)
@@ -222,10 +211,7 @@ def _parse_sequence_file(text: str, d: int) -> BiasedSequence:
 
 def _parse_orders_file(text: str) -> OrderChoice:
     perms: dict[int, tuple[int, ...]] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _content_lines(text):
         if ":" not in line:
             raise ParseError("expected 'generation: slot,slot,...'", line=ln)
         head, tail = line.split(":", 1)
@@ -240,9 +226,7 @@ def _parse_orders_file(text: str) -> OrderChoice:
 
 def _cmd_realize(args) -> int:
     seq = _parse_sequence_file(_read(args.seq), args.d)
-    orders = None
-    if args.orders is not None:
-        orders = _parse_orders_file(_read(args.orders))
+    orders = _parse_orders_file(_read(args.orders)) if args.orders is not None else None
     if args.verify:
         report = verify_roundtrip(seq, orders)
         tree = report.tree
@@ -277,6 +261,9 @@ def _cmd_equidist(args) -> int:
     return 0
 
 
+# Built once per process, binding each _cmd_* then: a test replacing one
+# would have to do so before the first main call (no test does).
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treefactorials",

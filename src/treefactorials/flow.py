@@ -12,7 +12,7 @@ The exact quantities come from a DAG of (state, depth) nodes of the source:
 equal pairs root equal subtrees, so a symmetric source has one node per
 depth.  A node's children are grouped as (length, child node, multiplicity),
 and R = 1 / sum(m / (length + R_child)).  Only the per-edge flows and the
-Monte Carlo walk expand the truncation vertex by vertex.
+Monte Carlo walk unroll that DAG into the truncation vertex by vertex.
 
 All network quantities are exact rationals; floats appear only in Monte
 Carlo estimates and in the final bisection report.
@@ -25,13 +25,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, groupby, islice
-from operator import itemgetter
+from itertools import accumulate, islice
 
 from .engine import WeightingRun
 from .errors import AllOpenCircuit, Inconclusive, StructureError
-from .sources import LambdaScaledSource, TreeSource, expand, level_branching
-from .trees import INF, RootedTree
+from .sources import LambdaScaledSource, TreeSource, _dag, _unroll, level_branching
+from .trees import INF, RootedTree, _float
 
 __all__ = [
     "ResistanceResult",
@@ -52,8 +51,8 @@ _ZERO = Fraction(0)
 
 
 def _network(source: TreeSource | RootedTree, depth: int, first: int):
-    """(root node, child groups, resistances) of the DAG of the truncations
-    at depths first..depth; raises AllOpenCircuit when no leaf is grounded.
+    """(`_dag` at depth, resistances) of the truncations at depths
+    first..depth; raises AllOpenCircuit when no leaf is grounded.
 
     r[root][i] is R (None if open) of the truncation at depth first + i, the
     last entry holding for every deeper one; r[node][-1] is R below any node
@@ -61,22 +60,9 @@ def _network(source: TreeSource | RootedTree, depth: int, first: int):
     """
     if depth < 1:
         raise StructureError("depth must be >= 1")
-    root = (source.root_state(), 0)
-    groups, r = {root: ()}, {}
+    dag = order, groups, caps = _dag(source, depth)
+    r = {node: [_ZERO if cap == INF else None] for node, cap in caps.items()}
     # Breadth first, so the reverse order solves children before parents.
-    order = [root]
-    for node in order:
-        state, d = node
-        cap = source.state_capacity(state, d)
-        if cap is not None or d == depth:
-            r[node] = [_ZERO if cap is None or cap == INF else None]
-            continue
-        runs = groupby(source.state_children(state, d), key=itemgetter(1, 0))
-        groups[node] = kids = [(ln, (child, d + 1), len(list(run))) for (child, ln), run in runs]
-        for _, c, _ in kids:
-            if c not in groups:
-                groups[c] = ()
-                order.append(c)
     solved = len(order)
     for node in reversed(order):
         # Two levels down no parent is left: keep the value at `depth` only.
@@ -96,12 +82,12 @@ def _network(source: TreeSource | RootedTree, depth: int, first: int):
                     g += m / (ln + x)
             values.append(1 / g if g else None)
         r[node] = values
-    if r[root][-1] is None:
+    if r[order[0]][-1] is None:
         # A cut vertex is grounded, so an open truncation cuts none: the tree
         # ends at its deepest level, the first truncation that is open.
         opened = max(order[-1][1], 1)
         raise AllOpenCircuit(f"no infinite-capacity leaf at truncation depth {opened}")
-    return root, groups, r
+    return dag, r
 
 
 @dataclass(frozen=True)
@@ -120,8 +106,8 @@ class ResistanceResult:
 def effective_resistance(source: TreeSource | RootedTree, depth: int) -> ResistanceResult:
     """Exact resistance between the root and the grounded boundary of the
     depth-truncation.  Raises AllOpenCircuit when no leaf is grounded."""
-    root, _, r = _network(source, depth, 1)
-    values = r[root]  # shallower truncations of a grounded one are grounded too
+    (order, _, _), r = _network(source, depth, 1)
+    values = r[order[0]]  # shallower truncations of a grounded one are grounded too
     per_depth = tuple(values) + (values[-1],) * (depth - len(values))
     return ResistanceResult(values[-1], depth, per_depth)
 
@@ -196,9 +182,9 @@ class FlowAssignment:
     """Unit flow from the root to the grounded boundary.
 
     The energy sum(length * flow**2) equals the effective resistance
-    (Thomson's principle).  `tree`, the expanded truncation, and `flows` are
-    built on first use: flows[v] is the current on the edge into v (0 on
-    edges into open subtrees).
+    (Thomson's principle).  `tree`, the truncation unrolled from the flow's
+    own DAG, and `flows` are built on first use: flows[v] is the current on
+    the edge into v (0 on edges into open subtrees).
     """
 
     source: TreeSource | RootedTree
@@ -208,15 +194,15 @@ class FlowAssignment:
 
     @cached_property
     def tree(self) -> RootedTree:
-        return expand(self.source, self.depth)
+        return _unroll(self.network[0])
 
     @cached_property
     def flows(self) -> dict[int, Fraction]:
         """Current divider: a vertex's current splits among its children
         proportionally to 1/(length + subtree resistance)."""
-        root, groups, r = self.network
+        (order, groups, _), r = self.network
         # A vertex's children are its node's groups, each repeated m times.
-        nodes, flows = {0: root}, {}
+        nodes, flows = {0: order[0]}, {}
         for v, kids in enumerate(self.tree.children):
             f, node, kid = flows[v] if v else Fraction(1), nodes[v], iter(kids)
             for ln, child, m in groups[node]:
@@ -234,8 +220,8 @@ class FlowAssignment:
 
 def unit_current_flow(source: TreeSource | RootedTree, depth: int) -> FlowAssignment:
     """Unit current flow on the depth-truncation."""
-    root, _, r = network = _network(source, depth, depth)
-    return FlowAssignment(source, depth, r[root][-1], network)
+    (order, _, _), r = network = _network(source, depth, depth)
+    return FlowAssignment(source, depth, r[order[0]][-1], network)
 
 
 @dataclass(frozen=True)
@@ -332,8 +318,7 @@ def _walk(tree: RootedTree, trials: int, seed: int, max_steps: int = _MAX_STEPS)
     grounded = {v for v in tree.leaves if tree.capacities[v] == INF}
 
     rng = random.Random(seed)
-    escaped = 0
-    timeouts = 0
+    escaped = timeouts = 0
     for _ in range(trials):
         v = 0
         for _ in range(max_steps):
@@ -357,8 +342,8 @@ class BranchingReport:
     Scaling the edge into each depth-k vertex to length lam**(k-1) makes the
     truncated resistances diverge for lam at or above the branching number
     and stay bounded below it; each evaluation row records (lam, verdict,
-    last resistance reached).  Resistances here are floats, the one place
-    outside Monte Carlo where the package trades exactness for depth.
+    last resistance reached).  Resistances here are floats (inf past their
+    range), the one place outside Monte Carlo that trades exactness for depth.
     """
 
     low: Fraction
@@ -415,17 +400,17 @@ def branching_number_estimate(
     if schedule[0] < 1 or list(schedule) != sorted(schedule):
         raise StructureError("schedule depths must be >= 1 and nondecreasing")
     tol = Fraction(tol)
-    res_tol = float(tol) / 8
+    res_tol = _float(tol) / 8
     threshold = 10**6
     branching = level_branching(source, schedule[-1])
     evals: list[tuple[Fraction, str, float]] = []
 
     def classify(lam: Fraction) -> str:
         if branching is not None:
-            values = _profile_resistances(branching, float(lam), schedule, threshold)
+            values = _profile_resistances(branching, _float(lam), schedule, threshold)
         else:
-            per_depth = effective_resistance(LambdaScaledSource(source, lam), schedule[-1]).per_depth
-            values = [float(per_depth[h - 1]) for h in schedule]
+            scaled = LambdaScaledSource(source, lam)
+            values = [_float(unit_current_flow(scaled, h).energy) for h in schedule]
         last = values[-1]
         if last > threshold or (len(values) >= 2 and values[-2] > 0 and last / values[-2] >= 1.8):
             verdict = "divergent"

@@ -8,9 +8,10 @@ materializes children on demand under a safety budget.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import DepthBudgetExceeded, ParseError, StructureError
 from .trees import INF, Capacity, RootedTree, _denominator_lcm, parse_length
@@ -39,6 +40,7 @@ class TreeSource:
     Subclasses implement a tiny protocol over opaque node states: the root
     state, each state's children as (edge length, child state) pairs, and the
     capacity when a state is a leaf of the underlying tree (None otherwise).
+    States must be hashable: truncations walk a DAG keyed by (state, depth).
     A RootedTree implements the same protocol over its node ids.
     """
 
@@ -254,35 +256,48 @@ class AdelicSetSource(TreeSource):
         return 1
 
 
-def expand(source: TreeSource, depth: int) -> RootedTree:
-    """Materialize the source down to `depth` edges.
+def _dag(source: TreeSource | RootedTree, depth: int):
+    """The truncation at `depth` as a DAG of (state, depth) nodes: (nodes
+    breadth first, runs, caps).  runs[node] groups equal consecutive children
+    as (length, child node, multiplicity), () at a leaf; caps[node] is a
+    leaf's capacity, inf where the truncation cuts."""
+    root = (source.root_state(), 0)
+    order, runs, caps = [root], {root: ()}, {}
+    for node in order:
+        state, d = node
+        cap = source.state_capacity(state, d)
+        if cap is not None or d == depth:
+            caps[node] = INF if cap is None else cap
+            continue
+        children = groupby(source.state_children(state, d), key=itemgetter(1, 0))
+        runs[node] = kids = [(ln, (child, d + 1), len(list(run))) for (child, ln), run in children]
+        for _, c, _ in kids:
+            if c not in runs:
+                runs[c] = ()
+                order.append(c)
+    return order, runs, caps
 
-    Vertices cut mid-growth get capacity inf (standing for the infinite part
-    below); natural leaves keep their own capacity.  Nodes are numbered
-    breadth first, so expansions at increasing depths agree node by node.
-    """
+
+def _unroll(dag) -> RootedTree:
+    """The tree a DAG of `_dag` stands for, numbered breadth first."""
+    order, runs, caps = dag
+    parents, lengths, nodes = [-1], [None], [order[0]]
+    for v, node in enumerate(nodes):
+        for ln, child, m in runs[node]:
+            parents += [v] * m
+            lengths += [ln] * m
+            nodes += [child] * m
+    return RootedTree(tuple(parents), tuple(lengths), tuple(caps.get(node) for node in nodes))
+
+
+def expand(source: TreeSource, depth: int) -> RootedTree:
+    """Materialize the source down to `depth` edges, numbered breadth first
+    so expansions at increasing depths agree node by node.  Vertices cut
+    mid-growth get capacity inf (standing for the infinite part below);
+    natural leaves keep their own capacity."""
     if depth < 0:
         raise StructureError("depth must be >= 0")
-    root = source.root_state()
-    parents: list[int] = [-1]
-    lengths: list[Fraction | None] = [None]
-    caps: list[Capacity | None] = [None]
-    queue: deque[tuple[int, object, int]] = deque([(0, root, 0)])
-    while queue:
-        v, state, d = queue.popleft()
-        cap = source.state_capacity(state, d)
-        if cap is not None:
-            caps[v] = cap
-            continue
-        if d == depth:
-            caps[v] = INF
-            continue
-        for ln, child_state in source.state_children(state, d):
-            parents.append(v)
-            lengths.append(ln)
-            caps.append(None)
-            queue.append((len(parents) - 1, child_state, d + 1))
-    return RootedTree(tuple(parents), tuple(lengths), tuple(caps))
+    return _unroll(_dag(source, depth))
 
 
 class ExplicitView:

@@ -175,6 +175,21 @@ def format_length(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _float(x: Fraction) -> float:
+    """float(x) of an x >= 0, read as inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return INF
+
+
+def _content_lines(text: str):
+    """(line number, line) of each nonblank line, its '#' comment removed."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.split("#", 1)[0].strip():
+            yield lineno, line
+
+
 def _parse_capacity(text: str) -> Capacity:
     if text == "inf":
         return INF
@@ -194,10 +209,7 @@ def parse_tree_file(text: str) -> RootedTree:
     parents: list[int] = []
     lengths: list[Fraction | None] = []
     caps_given: dict[int, Capacity] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         tokens = line.split()
         if tokens[0] != "node":
             raise ParseError(f"expected 'node', got {tokens[0]!r}", lineno)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
-from treefactorials import INF
+from treefactorials import INF, RootedTree
 
 
 class OracleExhausted(Exception):
@@ -411,3 +412,23 @@ def profile_by_counts(branching, lam: float, schedule, threshold) -> list[float]
             h += 1
         out.append(acc)
     return out
+
+
+def expand_by_queue(source, depth: int) -> RootedTree:
+    """The truncation at `depth`, built vertex by vertex from a queue that
+    asks the source for every vertex's capacity and children: the reference
+    for `expand`, which unrolls the (state, depth) DAG instead."""
+    parents, lengths, caps = [-1], [None], [None]
+    queue = deque([(0, source.root_state(), 0)])
+    while queue:
+        v, state, d = queue.popleft()
+        cap = source.state_capacity(state, d)
+        if cap is not None or d == depth:
+            caps[v] = INF if cap is None else cap
+            continue
+        for ln, child_state in source.state_children(state, d):
+            parents.append(v)
+            lengths.append(ln)
+            caps.append(None)
+            queue.append((len(parents) - 1, child_state, d + 1))
+    return RootedTree(tuple(parents), tuple(lengths), tuple(caps))

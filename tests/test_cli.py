@@ -7,6 +7,7 @@ import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -146,6 +147,18 @@ class TestOracleCheck:
         code, out, err = run_cli("oracle-check", "--tree", str(path), "--n", "1")
         assert (code, out, err) == (0, "OK: weighting == greedy == minmax\n", "")
 
+    def test_mismatch_is_reported(self, monkeypatch):
+        real = cli.factorials_minmax
+
+        def shifted(tree, n):
+            values = list(real(tree, n).values)
+            values[2] += 1
+            return SimpleNamespace(values=values)
+
+        monkeypatch.setattr(cli, "factorials_minmax", shifted)
+        code, out, err = run_cli("oracle-check", "--gen", "regular d=2", "--depth", "3", "--n", "4")
+        assert (code, out, err) == (1, "", "Mismatch at n=2: weighting=1 greedy=1 minmax=2\n")
+
 
 class TestAdelic:
     def test_initial_segment(self):
@@ -255,14 +268,16 @@ class TestFlow:
         assert err.startswith("StructureError:")
 
     def test_one_expansion_per_run(self, monkeypatch):
-        # The report reads the (state, depth) network; only per-edge flows
-        # and the walk need the tree vertex by vertex.
-        calls = helpers.count_calls(monkeypatch, flow, "expand")
-        runs = (((), []), (("--float",), []), (("--csv",), [4]), (("--trials", "50", "--seed", "1"), [4]))
+        # Every run walks its source once; only per-edge flows and the walk
+        # unroll that (state, depth) DAG into the tree vertex by vertex.
+        walks = helpers.count_calls(monkeypatch, flow, "_dag")
+        unrolls = helpers.count_calls(monkeypatch, flow, "_unroll")
+        runs = (((), 0), (("--float",), 0), (("--csv",), 1), (("--trials", "50", "--seed", "1"), 1))
         for extra, want in runs:
-            calls.clear()
+            walks.clear()
+            unrolls.clear()
             code, _, _ = run_cli("flow", "--gen", "regular d=2", "--depth", "4", *extra)
-            assert code == 0 and [depth for _, depth in calls] == want
+            assert code == 0 and [depth for _, depth in walks] == [4] and len(unrolls) == want
 
     def test_deep_binary_report_is_fast(self):
         with helpers.deadline(2):
@@ -435,6 +450,16 @@ class TestBranching:
         assert code == 0
         assert "status = collapsed-low" in out
 
+    def test_deep_explicit_path_is_fast(self, tmp_path):
+        # Each schedule depth is one single-depth solve, not a sweep of every
+        # truncation up to 4096.
+        path = tmp_path / "path.tree"
+        path.write_text(serialize_tree(helpers.path_tree([1] * 800, cap=INF)))
+        with helpers.deadline(5):
+            code, out, err = run_cli("branching", "--tree", str(path), "--lambda-lo", "1", "--lambda-hi", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-3:] == ["low = 1", "high = 33/32", "status = bracketed"]
+
     @pytest.mark.parametrize("cap", ["inf", "2"])
     def test_edgeless_tree_is_domain_error(self, tmp_path, cap):
         # A grounded root alone has R = 0 at every lambda: no branch to count.
@@ -443,6 +468,50 @@ class TestBranching:
         code, out, err = run_cli("branching", "--tree", str(path), "--lambda-lo", "1", "--lambda-hi", "2")
         assert (code, out) == (1, "")
         assert err.startswith("StructureError: the tree has no edge")
+
+
+HUGE = "1" + "0" * 400  # past the float range
+
+
+class TestFloatRange:
+    """A value past the float range prints as inf; a branching evaluation
+    that reaches it is divergent."""
+
+    def test_exact_resistance_past_the_range(self, tmp_path):
+        path = tmp_path / "path.tree"
+        path.write_text(serialize_tree(helpers.path_tree([1] * 450, cap=INF)))
+        with helpers.deadline(5):
+            code, out, err = run_cli("branching", "--tree", str(path), "--lambda-lo", "1", "--lambda-hi", "5")
+        assert (code, err) == (0, "") and "Traceback" not in out
+        lines = out.splitlines()
+        assert "# lam=5: divergent (R=inf)" in lines
+        assert lines[-3:] == ["low = 1", "high = 33/32", "status = bracketed"]
+
+    def test_lambda_past_the_range(self):
+        with helpers.deadline(5):
+            code, out, err = run_cli("branching", "--gen", "regular d=2", "--lambda-lo", "1", "--lambda-hi", HUGE)
+        assert (code, err) == (0, "") and "Traceback" not in out
+        lines = out.splitlines()
+        assert f"# lam={HUGE}: divergent (R=inf)" in lines
+        assert lines[-1] == "status = bracketed"
+        assert Fraction(lines[-3][len("low = "):]) <= 2 <= Fraction(lines[-2][len("high = "):])
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (("factorials", "--n", "1", "--csv"), "1,{big},1,inf"),
+            (("flow", "--float"), "resistance = inf"),
+            (("branching", "--lambda-lo", HUGE, "--lambda-hi", "1" + HUGE, "--float"), "low = inf"),
+            (("branching", "--lambda-lo", "1", "--lambda-hi", "2", "--tol", HUGE), "status = collapsed-high"),
+        ],
+        ids=["factorials-csv", "flow-float", "branching-float", "branching-tol"],
+    )
+    def test_printed_floats(self, tmp_path, argv, want):
+        path = tmp_path / "long.tree"
+        path.write_text(f"node 0 parent=-\nnode 1 parent=0 length={HUGE} capacity=inf\n")
+        code, out, err = run_cli(argv[0], "--tree", str(path), *argv[1:])
+        assert (code, err) == (0, "")
+        assert want.format(big=HUGE) in out.splitlines()
 
 
 class TestRealize:
@@ -551,6 +620,50 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as e:
             run_cli("factorials", "--n", "3")
         assert e.value.code == 2
+
+    def test_negative_t_is_domain_error(self):
+        code, out, err = run_cli("factorials", "--gen", "regular d=2", "--n", "3", "--t", "-1")
+        assert (code, out, err) == (1, "", "StructureError: t must be >= 0\n")
+
+    @pytest.mark.parametrize(
+        "kind, text, want",
+        [
+            ("tree", "nod 0 parent=-", "ParseError: line 1: expected 'node', got 'nod'"),
+            ("tree", "node 0", "ParseError: line 1: need at least 'node <id> parent=<id|->'"),
+            ("tree", "node x parent=-", "ParseError: line 1: bad node id 'x'"),
+            ("tree", "node 0 parent", "ParseError: line 1: bad field 'parent'"),
+            ("tree", "node 0 parent=- parent=-", "ParseError: line 1: bad field 'parent=-'"),
+            ("tree", "node 0 capacity=1", "ParseError: line 1: missing parent field"),
+            ("tree", "node 0 parent=-\nnode 1 parent=x length=1", "ParseError: line 2: bad parent 'x'"),
+            ("tree", "node 0 parent=1 length=1", "ParseError: line 1: node 0 must have parent=-"),
+            ("tree", "node 0 parent=-\nnode 1 parent=0 length=1 capacity=0", "ParseError: line 2: bad capacity '0'"),
+            ("gen", "lambda base=(regular d=2 lambda=2", "ParseError: unbalanced '(' in generator spec"),
+            ("gen", "regular d=2)", "ParseError: unbalanced ')' in generator spec"),
+            ("gen", "regular d", "ParseError: bad generator field 'd'"),
+            ("gen", "lambda base=regular d=2 lambda=2",
+             "ParseError: lambda spec takes fields ['base', 'lambda'], got ['base', 'd', 'lambda']"),
+            ("gen", "lambda base=regular lambda=2", "ParseError: lambda base spec must be parenthesized"),
+            ("gen", "spherical b=2,-1", "StructureError: branching values must be >= 0"),
+            ("seq", "# no rows", "ParseError: empty sequence file"),
+            ("seq", "0,1,0\n0,2,0\n1,1,10", "ParseError: generation 1 needs positions 1..2"),
+            ("orders", "1 0,1", "ParseError: line 1: expected 'generation: slot,slot,...'"),
+            ("orders", "1: 0,x", "ParseError: line 1: bad order row '1: 0,x'"),
+        ],
+    )
+    def test_rejected_input(self, tmp_path, kind, text, want):
+        path = tmp_path / "input"
+        path.write_text(text + "\n")
+        seq = tmp_path / "seq.csv"
+        seq.write_text("0,1,0\n0,2,0\n1,1,10\n1,2,12\n")
+        argv = {
+            "tree": ("factorials", "--tree", str(path), "--n", "2"),
+            "gen": ("factorials", "--gen", text, "--n", "2"),
+            "seq": ("realize", "--d", "2", "--seq", str(path)),
+            "orders": ("realize", "--d", "2", "--seq", str(seq), "--orders", str(path)),
+        }[kind]
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (1, "", want + "\n")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

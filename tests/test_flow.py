@@ -161,20 +161,24 @@ class TestPerDepthSweep:
         assert self.check(FibonacciSource(), 7) == 7
 
     def test_only_the_walk_expands(self, monkeypatch):
-        calls = helpers.count_calls(monkeypatch, flow, "expand")
+        # Each query walks its source once; the Monte Carlo walk unrolls the
+        # flow's own DAG instead of walking the source again.
+        walks = helpers.count_calls(monkeypatch, flow, "_dag")
+        unrolls = helpers.count_calls(monkeypatch, flow, "_unroll")
         networks = helpers.count_calls(monkeypatch, flow, "_network")
         queries = (
-            (effective_resistance, []),
-            (unit_current_flow, []),
-            (exact_escape_probability, []),
-            (lambda src, h: random_walk_escape(src, h, trials=5, seed=1), [5]),
+            (effective_resistance, 0),
+            (unit_current_flow, 0),
+            (exact_escape_probability, 0),
+            (lambda src, h: random_walk_escape(src, h, trials=5, seed=1), 1),
         )
         for query, want in queries:
             for src in (RegularSource(2), helpers.binary_tree(3)):
-                calls.clear()
-                networks.clear()
+                for calls in (walks, unrolls, networks):
+                    calls.clear()
                 query(src, 5)
-                assert [depth for _, depth in calls] == want
+                assert [depth for _, depth in walks] == [5]
+                assert len(unrolls) == want
                 assert len(networks) == 1
 
 
@@ -370,11 +374,12 @@ class TestBranching:
         assert rep.status == "collapsed-high"
 
     def test_explicit_tree_evaluations_match_per_depth_calls(self, monkeypatch):
+        # One single-depth solve per schedule depth and evaluation.
         tree = expand(SphericalSource((4, 3, 2)), 3)
         schedule = (2, 3, 64)
-        calls = helpers.count_calls(monkeypatch, flow, "effective_resistance")
+        calls = helpers.count_calls(monkeypatch, flow, "unit_current_flow")
         rep = branching_number_estimate(tree, F(1), F(4), depth_schedule=schedule)
-        assert [depth for _, depth in calls] == [64] * len(rep.evaluations)
+        assert [depth for _, depth in calls] == list(schedule) * len(rep.evaluations)
         monkeypatch.undo()
         want = []
         for lam, _, _ in rep.evaluations:

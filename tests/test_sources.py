@@ -1,10 +1,12 @@
 """Tree generators, lazy expansion, and the generator spec mini-language."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import helpers
+import oracles
 from treefactorials import (
     INF,
     AdelicSetSource,
@@ -19,7 +21,24 @@ from treefactorials import (
     parse_generator_spec,
 )
 from treefactorials.errors import DepthBudgetExceeded
-from treefactorials.sources import level_branching
+from treefactorials.sources import TreeSource, level_branching
+
+
+class RunsSource(TreeSource):
+    """Equal children in runs broken by other children or by another length
+    to the same state, and a state that ends at a finite capacity deep down:
+    `expand` must group only consecutive equal (length, state) pairs."""
+
+    def root_state(self):
+        return 0
+
+    def state_children(self, state, depth):
+        if state == 0:
+            return [(Fraction(1), 0), (Fraction(1), 0), (Fraction(3), 0), (Fraction(2), 1), (Fraction(1), 0)]
+        return [(Fraction(1, 2), 0)]
+
+    def state_capacity(self, state, depth):
+        return 2 if state == 1 and depth > 3 else None
 
 
 class TestExpand:
@@ -69,6 +88,27 @@ class TestExpand:
         # branching 0 at depth 1 ends the tree with capacity-1 leaves
         assert len(ends) == 3
         assert ends.capacities[1:] == (1, 1)
+
+    def test_matches_the_per_vertex_queue(self):
+        rng = random.Random(20261019)
+        trees = [helpers.random_tree(rng, max_edges=12) for _ in range(150)]
+        lazy = [
+            RegularSource(2),
+            RegularSource(1),  # a ray
+            RegularSource(3, Fraction(1, 2)),
+            SphericalSource((2, 0)),
+            SphericalSource((1, 3, 0, 2)),
+            SphericalSource((2, 3), (Fraction(1), Fraction(1, 2))),
+            LambdaScaledSource(RegularSource(2), Fraction(3, 2)),
+            LambdaScaledSource(SphericalSource((1, 2)), Fraction(2, 3)),
+            AdelicSetSource((0, 1, 3, 4, 9, 12, 20), 2),
+            AdelicSetSource((0, 5, 7, 25, 32, 50), 5),
+            RunsSource(),
+        ]
+        sources = trees + [LambdaScaledSource(t, Fraction(2, 3)) for t in trees[:20]] + lazy
+        for src in sources:
+            for depth in range(7):
+                assert expand(src, depth) == oracles.expand_by_queue(src, depth), (src, depth)
 
 
 class TestSourceValidation:
