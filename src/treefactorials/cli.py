@@ -170,9 +170,7 @@ def _cmd_flow(args) -> int:
 
 def _cmd_branching(args) -> int:
     source = _load_source(args)
-    schedule = None
-    if args.depth is not None:
-        schedule = tuple(sorted({max(1, args.depth >> k) for k in (8, 6, 4, 2, 1, 0)}))
+    schedule = None if args.depth is None else flow_mod._schedule(args.depth)
     report = flow_mod.branching_number_estimate(
         source, args.lambda_lo, args.lambda_hi, depth_schedule=schedule, tol=args.tol
     )

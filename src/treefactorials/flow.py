@@ -8,11 +8,11 @@ resistances, unit current flows, escape probabilities of the associated
 random walk, and bracketing intervals for the branching number of a
 generated tree.
 
-The exact quantities come from a DAG of (state, depth) nodes of the source:
-equal pairs root equal subtrees, so a symmetric source has one node per
-depth.  A node's children are grouped as (length, child node, multiplicity),
-and R = 1 / sum(m / (length + R_child)).  Only the per-edge flows and the
-Monte Carlo walk unroll that DAG into the truncation vertex by vertex.
+Each query walks its source once into a DAG of (state, depth) nodes; equal
+pairs root equal subtrees, so a symmetric source has one node per depth.  The
+walk's nodes at depth <= h form the truncation at h, solved by one reverse
+pass: R = 1 / sum(m / (length + R_child)) over (length, child, multiplicity)
+runs.  Only the per-edge flows and the Monte Carlo walk unroll the DAG.
 
 All network quantities are exact rationals; floats appear only in Monte
 Carlo estimates and in the final bisection report.
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
+from operator import itemgetter
 
 from .engine import WeightingRun
 from .errors import AllOpenCircuit, Inconclusive, StructureError
@@ -50,44 +51,34 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-def _network(source: TreeSource | RootedTree, depth: int, first: int):
-    """(`_dag` at depth, resistances) of the truncations at depths
-    first..depth; raises AllOpenCircuit when no leaf is grounded.
+def _solve(dag, h: int) -> dict:
+    """R (None if open) of each node of the truncation at depth h of a
+    `_dag` walk at depth h or deeper; AllOpenCircuit if the root is open.
 
-    r[root][i] is R (None if open) of the truncation at depth first + i, the
-    last entry holding for every deeper one; r[node][-1] is R below any node
-    in the truncation at `depth`, which grounds the vertices it cuts.
+    One reverse pass over the walk's breadth-first prefix at depth <= h: a
+    leaf is grounded (R = 0) at capacity inf and open otherwise, a node cut
+    at depth h is grounded, and any other node has R = 1 / sum(m / (length
+    + R_child)) over its runs into children that are not open, or is open
+    when there are none.
     """
-    if depth < 1:
-        raise StructureError("depth must be >= 1")
-    dag = order, groups, caps = _dag(source, depth)
-    r = {node: [_ZERO if cap == INF else None] for node, cap in caps.items()}
-    # Breadth first, so the reverse order solves children before parents.
-    solved = len(order)
-    for node in reversed(order):
-        # Two levels down no parent is left: keep the value at `depth` only.
-        while order[solved - 1][1] > node[1] + 1:
-            solved -= 1
-            r[order[solved]] = r[order[solved]][-1:]
-        if node in r:
+    order, runs, caps = dag
+    r = {}
+    for node in reversed(order[: bisect_right(order, h, key=itemgetter(1))]):
+        cap = caps.get(node, INF if node[1] == h else None)
+        if cap is not None:
+            r[node] = _ZERO if cap == INF else None
             continue
-        kids = [(ln, r[c], m) for ln, c, m in groups[node]]
-        # Cut at its own depth; the children's lists start at max(first, d + 1).
-        values = [_ZERO] if node[1] >= first else []
-        for i in range(max([len(rc) for _, rc, _ in kids], default=1)):
-            g = _ZERO
-            for ln, rc, m in kids:
-                x = rc[min(i, len(rc) - 1)]
-                if x is not None:
-                    g += m / (ln + x)
-            values.append(1 / g if g else None)
-        r[node] = values
-    if r[order[0]][-1] is None:
+        g = _ZERO
+        for ln, child, m in runs[node]:
+            if (x := r[child]) is not None:
+                g += m / (ln + x)
+        r[node] = 1 / g if g else None
+    if r[order[0]] is None:
         # A cut vertex is grounded, so an open truncation cuts none: the tree
         # ends at its deepest level, the first truncation that is open.
         opened = max(order[-1][1], 1)
         raise AllOpenCircuit(f"no infinite-capacity leaf at truncation depth {opened}")
-    return dag, r
+    return r
 
 
 @dataclass(frozen=True)
@@ -106,10 +97,13 @@ class ResistanceResult:
 def effective_resistance(source: TreeSource | RootedTree, depth: int) -> ResistanceResult:
     """Exact resistance between the root and the grounded boundary of the
     depth-truncation.  Raises AllOpenCircuit when no leaf is grounded."""
-    (order, _, _), r = _network(source, depth, 1)
-    values = r[order[0]]  # shallower truncations of a grounded one are grounded too
-    per_depth = tuple(values) + (values[-1],) * (depth - len(values))
-    return ResistanceResult(values[-1], depth, per_depth)
+    fl = unit_current_flow(source, depth)
+    dag = order, _, _ = fl.network[0]
+    # Shallower truncations of a grounded one are grounded too; from the
+    # walk's deepest level on, every truncation is the whole tree.
+    per_depth = [_solve(dag, h)[order[0]] for h in range(1, min(depth, order[-1][1]))]
+    per_depth += [fl.energy] * (depth - len(per_depth))
+    return ResistanceResult(fl.energy, depth, tuple(per_depth))
 
 
 def laplacian_voltage_gap(tree: RootedTree) -> Fraction:
@@ -118,24 +112,15 @@ def laplacian_voltage_gap(tree: RootedTree) -> Fraction:
     Gaussian elimination.  Equals the effective resistance of the tree.
     """
     n = len(tree.parents)
-    grounded = [v for v in tree.leaves if tree.capacities[v] == INF]
-    if not grounded:
+    sink = {v for v in tree.leaves if tree.capacities[v] == INF}
+    if not sink:
         raise AllOpenCircuit("no infinite-capacity leaf to ground")
-    sink = set(grounded)
     # Node indices: root is eliminated (potential 0), all grounded leaves
     # merge into one sink variable, every other vertex keeps its own.
-    idx: dict[int, int] = {}
-    for v in range(1, n):
-        if v not in sink:
-            idx[v] = len(idx)
-    sink_col = len(idx)
+    col = {v: i for i, v in enumerate(v for v in range(1, n) if v not in sink)}
+    sink_col = len(col)
     m = sink_col + 1
-
-    def col(v: int) -> int | None:
-        if v == 0:
-            return None
-        return sink_col if v in sink else idx[v]
-
+    col |= dict.fromkeys(sink, sink_col) | {0: None}
     # Row for vertex w states: sum over neighbors u of c_uw (F(w) - F(u))
     # equals the external injection at w, which is -1 at the sink and 0 at
     # every other non-root vertex.
@@ -145,7 +130,7 @@ def laplacian_voltage_gap(tree: RootedTree) -> Fraction:
     for v in range(1, n):
         u = tree.parents[v]
         c = 1 / tree.lengths[v]
-        for x, y in ((col(u), col(v)), (col(v), col(u))):
+        for x, y in ((col[u], col[v]), (col[v], col[u])):
             if x is None:
                 continue
             a[x][x] += c
@@ -200,14 +185,14 @@ class FlowAssignment:
     def flows(self) -> dict[int, Fraction]:
         """Current divider: a vertex's current splits among its children
         proportionally to 1/(length + subtree resistance)."""
-        (order, groups, _), r = self.network
-        # A vertex's children are its node's groups, each repeated m times.
+        (order, runs, _), r = self.network
+        # A vertex's children are its node's runs, each repeated m times.
         nodes, flows = {0: order[0]}, {}
         for v, kids in enumerate(self.tree.children):
             f, node, kid = flows[v] if v else Fraction(1), nodes[v], iter(kids)
-            for ln, child, m in groups[node]:
-                rc = r[child][-1]
-                share = _ZERO if rc is None or f == 0 else f * r[node][-1] / (ln + rc)
+            for ln, child, m in runs[node]:
+                rc = r[child]
+                share = _ZERO if rc is None or f == 0 else f * r[node] / (ln + rc)
                 for c in islice(kid, m):
                     nodes[c], flows[c] = child, share
         return flows
@@ -220,8 +205,11 @@ class FlowAssignment:
 
 def unit_current_flow(source: TreeSource | RootedTree, depth: int) -> FlowAssignment:
     """Unit current flow on the depth-truncation."""
-    (order, _, _), r = network = _network(source, depth, depth)
-    return FlowAssignment(source, depth, r[order[0]][-1], network)
+    if depth < 1:
+        raise StructureError("depth must be >= 1")
+    dag = _dag(source, depth)
+    r = _solve(dag, depth)
+    return FlowAssignment(source, depth, r[dag[0][0]], (dag, r))
 
 
 @dataclass(frozen=True)
@@ -310,11 +298,14 @@ def _walk(tree: RootedTree, trials: int, seed: int, max_steps: int = _MAX_STEPS)
         raise StructureError("trials must be >= 1")
     _root_edges(tree)
     # A vertex's neighbors are its parent, then its children; an edge's
-    # conductance is 1 over the length into its deeper end.
+    # conductance is 1 over the length into its deeper end, taken relative to
+    # the vertex's shortest edge: an exact ratio, at most 1 and never 1/0.0.
     neighbors = [([p] if p >= 0 else []) + list(kids) for p, kids in zip(tree.parents, tree.children)]
-    cumulative = [
-        list(accumulate(1.0 / float(tree.lengths[max(u, v)]) for u in nb)) for v, nb in enumerate(neighbors)
-    ]
+    cumulative = []
+    for v, nb in enumerate(neighbors):
+        lengths = [tree.lengths[max(u, v)] for u in nb]
+        shortest = min(lengths)
+        cumulative.append(list(accumulate(float(shortest / ln) for ln in lengths)))
     grounded = {v for v in tree.leaves if tree.capacities[v] == INF}
 
     rng = random.Random(seed)
@@ -352,7 +343,12 @@ class BranchingReport:
     evaluations: tuple[tuple[Fraction, str, float], ...]
 
 
-_DEFAULT_SCHEDULE = (16, 64, 256, 1024, 2048, 4096)
+def _schedule(depth: int) -> tuple[int, ...]:
+    """The branching schedule to `depth`: depth >> k for k = 8, 6, 4, 2, 1, 0."""
+    return tuple(sorted({max(1, depth >> k) for k in (8, 6, 4, 2, 1, 0)}))
+
+
+_DEFAULT_SCHEDULE = _schedule(4096)
 
 
 def _profile_resistances(branching, lam: float, schedule, threshold) -> list[float]:
@@ -409,8 +405,11 @@ def branching_number_estimate(
         if branching is not None:
             values = _profile_resistances(branching, _float(lam), schedule, threshold)
         else:
-            scaled = LambdaScaledSource(source, lam)
-            values = [_float(unit_current_flow(scaled, h).energy) for h in schedule]
+            # One walk; a depth past its deepest level cuts nothing more.
+            dag = order, _, _ = _dag(LambdaScaledSource(source, lam), schedule[-1])
+            cut = [min(h, order[-1][1]) for h in schedule]
+            solved = {h: _float(_solve(dag, h)[order[0]]) for h in dict.fromkeys(cut)}
+            values = [solved[h] for h in cut]
         last = values[-1]
         if last > threshold or (len(values) >= 2 and values[-2] > 0 and last / values[-2] >= 1.8):
             verdict = "divergent"

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
 from .errors import DepthBudgetExceeded, ParseError, StructureError
 from .trees import INF, Capacity, RootedTree, _denominator_lcm, parse_length
@@ -269,9 +267,13 @@ def _dag(source: TreeSource | RootedTree, depth: int):
         if cap is not None or d == depth:
             caps[node] = INF if cap is None else cap
             continue
-        children = groupby(source.state_children(state, d), key=itemgetter(1, 0))
-        runs[node] = kids = [(ln, (child, d + 1), len(list(run))) for (child, ln), run in children]
-        for _, c, _ in kids:
+        runs[node] = kids = []
+        for ln, child in source.state_children(state, d):
+            # The child state first: on an explicit tree, ids always differ.
+            if kids and kids[-1][1][0] == child and kids[-1][0] == ln:
+                kids[-1] = (ln, kids[-1][1], kids[-1][2] + 1)
+                continue
+            kids.append((ln, c := (child, d + 1), 1))
             if c not in runs:
                 runs[c] = ()
                 order.append(c)

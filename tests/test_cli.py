@@ -10,6 +10,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from treefactorials import INF, cli, flow, format_length, parse_tree_file, serialize_tree
@@ -496,6 +498,18 @@ class TestFloatRange:
         assert lines[-1] == "status = bracketed"
         assert Fraction(lines[-3][len("low = "):]) <= 2 <= Fraction(lines[-2][len("high = "):])
 
+    def test_walk_past_the_range(self, tmp_path):
+        # Conductances 10**400 and 1: the walk from the root takes the
+        # short edge to its grounded leaf every time.
+        path = tmp_path / "short.tree"
+        path.write_text(
+            f"node 0 parent=-\nnode 1 parent=0 length=1/{HUGE} capacity=inf\n"
+            "node 2 parent=0 length=1 capacity=inf\n"
+        )
+        code, out, err = run_cli("flow", "--tree", str(path), "--trials", "10")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["escape = 1", "escape_mc = 1.0 (trials=10, timeouts=0)"]
+
     @pytest.mark.parametrize(
         "argv, want",
         [
@@ -691,6 +705,64 @@ class TestExitCodes:
         assert e.value.code == 2
 
 
+@st.composite
+def adelic_argv(draw):
+    """An adelic command line: a set of 1- to 40-digit integers of either
+    sign, maybe with a duplicate, --n within 2 of |S|, and maybe a --p that
+    is prime, composite, below 2 or at least 3.3e24 (its primality is then
+    not proven)."""
+    digits = st.integers(1, 40).flatmap(lambda k: st.integers(0, 10**k - 1))
+    signed = st.tuples(st.sampled_from((1, -1)), digits).map(lambda t: t[0] * t[1])
+    elements = draw(st.lists(signed, min_size=1, max_size=8, unique=True))
+    if draw(st.sampled_from((False, False, False, True))):
+        elements.insert(draw(st.integers(0, len(elements))), draw(st.sampled_from(elements)))
+    n = len(elements) - draw(st.sampled_from((1, 2, 0, -1)))
+    argv = ["adelic", f"--set={','.join(map(str, elements))}", f"--n={n}"]
+    if draw(st.booleans()):
+        p = draw(
+            st.sampled_from((2, 3, 5, 97, 10**9 + 7, 2**61 - 1, 2**89 - 1))
+            | st.integers(-3, 10**6)
+            | st.integers(3_317_044_064_679_887_385_961_981, 10**40)
+        )
+        argv.append(f"--p={p}")
+    if draw(st.booleans()):
+        argv.append("--csv")
+    return argv
+
+
+@st.composite
+def realize_inputs(draw):
+    """(argv, sequence file, orders file or None) for realize: a d-ary table
+    of depth 1 or 2 that is sufficiently biased by construction or drawn at
+    random, maybe with a row dropped, and maybe processing orders that are
+    permutations or not."""
+    d, depth = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    values = st.integers(-1, 60).map(Fraction) | st.fractions(0, 60, max_denominator=3)
+    rows, running = [(0, i, Fraction(0)) for i in range(1, d + 1)], Fraction(0)
+    biased = draw(st.booleans())
+    for n in range(1, depth + 1):
+        if biased:
+            # Above the bound even when a drawn value is -1.
+            start = 2 * d**n * running + draw(st.integers(2, 6))
+            group = sorted(start + draw(values) for _ in range(d**n))
+        else:
+            group = draw(st.lists(values, min_size=d**n, max_size=d**n))
+        running += group[-1]
+        rows += [(n, i, v) for i, v in enumerate(group, 1)]
+    if draw(st.booleans()):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    seq = "".join(f"{n},{i},{format_length(v)}\n" for n, i, v in rows)
+    orders = None
+    if draw(st.booleans()):
+        perms = {}
+        for n in draw(st.lists(st.integers(0, depth + 1), max_size=3, unique=True)):
+            size = d if n == 0 else d**n
+            perms[n] = draw(st.permutations(range(size)) | st.lists(st.integers(-1, size), max_size=size + 1))
+        orders = "".join(f"{n}: {','.join(map(str, perm))}\n" for n, perm in perms.items())
+    argv = ["realize", f"--d={d}"] + (["--verify"] if draw(st.booleans()) else [])
+    return argv, seq, orders
+
+
 # Arguments that make each subcommand reading a tree run; the sweep below
 # feeds every one of them degenerate trees.
 SWEEP = {
@@ -724,3 +796,33 @@ class TestRobustnessSweep:
         assert "Traceback" not in err
         if code != 0:
             assert out == ""
+
+    @staticmethod
+    def twice(argv):
+        """Run argv twice; each outcome is an exit code, and both agree."""
+        with helpers.deadline(5):
+            first = run_cli_exit(*argv)
+        with helpers.deadline(5):
+            assert run_cli_exit(*argv) == first
+        code, out, err = first
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 0:
+            assert out == ""
+
+    @settings(max_examples=80, deadline=None)
+    @given(adelic_argv())
+    def test_adelic_sweep(self, argv):
+        self.twice(argv)
+
+    @settings(max_examples=80, deadline=None)
+    @given(realize_inputs())
+    def test_realize_sweep(self, tmp_path_factory, inputs):
+        argv, seq, orders = inputs
+        workdir = tmp_path_factory.mktemp("realize")
+        (workdir / "seq.csv").write_text(seq)
+        argv += ["--seq", str(workdir / "seq.csv")]
+        if orders is not None:
+            (workdir / "orders.txt").write_text(orders)
+            argv += ["--orders", str(workdir / "orders.txt")]
+        self.twice(argv)

@@ -162,24 +162,25 @@ class TestPerDepthSweep:
 
     def test_only_the_walk_expands(self, monkeypatch):
         # Each query walks its source once; the Monte Carlo walk unrolls the
-        # flow's own DAG instead of walking the source again.
+        # flow's own DAG instead of walking the source again, and only
+        # effective_resistance solves the shallower truncations, each once.
         walks = helpers.count_calls(monkeypatch, flow, "_dag")
         unrolls = helpers.count_calls(monkeypatch, flow, "_unroll")
-        networks = helpers.count_calls(monkeypatch, flow, "_network")
+        solves = helpers.count_calls(monkeypatch, flow, "_solve")
         queries = (
-            (effective_resistance, 0),
-            (unit_current_flow, 0),
-            (exact_escape_probability, 0),
-            (lambda src, h: random_walk_escape(src, h, trials=5, seed=1), 1),
+            (effective_resistance, 0, True),
+            (unit_current_flow, 0, False),
+            (exact_escape_probability, 0, False),
+            (lambda src, h: random_walk_escape(src, h, trials=5, seed=1), 1, False),
         )
-        for query, want in queries:
-            for src in (RegularSource(2), helpers.binary_tree(3)):
-                for calls in (walks, unrolls, networks):
+        for query, want, shallower in queries:
+            for src, deepest in ((RegularSource(2), 5), (helpers.binary_tree(3), 3)):
+                for calls in (walks, unrolls, solves):
                     calls.clear()
                 query(src, 5)
                 assert [depth for _, depth in walks] == [5]
                 assert len(unrolls) == want
-                assert len(networks) == 1
+                assert [h for _, h in solves] == [5] + list(range(1, deepest)) * shallower
 
 
 class TestLaplacianAgreement:
@@ -374,12 +375,15 @@ class TestBranching:
         assert rep.status == "collapsed-high"
 
     def test_explicit_tree_evaluations_match_per_depth_calls(self, monkeypatch):
-        # One single-depth solve per schedule depth and evaluation.
+        # One walk per evaluation at the deepest schedule depth, and one
+        # solve per schedule depth up to the tree's height (3).
         tree = expand(SphericalSource((4, 3, 2)), 3)
         schedule = (2, 3, 64)
-        calls = helpers.count_calls(monkeypatch, flow, "unit_current_flow")
+        walks = helpers.count_calls(monkeypatch, flow, "_dag")
+        solves = helpers.count_calls(monkeypatch, flow, "_solve")
         rep = branching_number_estimate(tree, F(1), F(4), depth_schedule=schedule)
-        assert [depth for _, depth in calls] == list(schedule) * len(rep.evaluations)
+        assert [depth for _, depth in walks] == [64] * len(rep.evaluations)
+        assert [h for _, h in solves] == [2, 3] * len(rep.evaluations)
         monkeypatch.undo()
         want = []
         for lam, _, _ in rep.evaluations:
@@ -388,6 +392,16 @@ class TestBranching:
             assert values[0] < values[1] == values[2]
             want.append((lam, "convergent", values[-1]))
         assert list(rep.evaluations) == want
+
+    def test_path_walks_once_per_lambda_and_solves_its_height_once(self, monkeypatch):
+        # Schedule depths 64 and 256 both cut nothing of a 40-edge path.
+        path = helpers.path_tree([1] * 40, cap=INF)
+        walks = helpers.count_calls(monkeypatch, flow, "_dag")
+        solves = helpers.count_calls(monkeypatch, flow, "_solve")
+        rep = branching_number_estimate(path, F(1), F(2), depth_schedule=(16, 64, 256))
+        assert len(rep.evaluations) > 2
+        assert [depth for _, depth in walks] == [256] * len(rep.evaluations)
+        assert [h for _, h in solves] == [16, 40] * len(rep.evaluations)
 
     def test_level_profile_read_once(self, monkeypatch):
         calls = helpers.count_calls(monkeypatch, flow, "level_branching")

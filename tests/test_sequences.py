@@ -36,11 +36,11 @@ def literal_gap(values):
 
 @st.composite
 def long_fractional_sequences(draw):
-    """Sequences around the 1500-term switch to numpy, maybe with one term
-    moved down or up.  a_n = lam*n - c*(distance from n to the nearest
-    multiple of p) is superadditive, as that distance is subadditive, and
-    full of exact ties a_{m+n} = a_m + a_n."""
-    K = draw(st.integers(1450, 1550))
+    """Sequences around the 40-term switch to numpy, or about 1,500 terms
+    long, maybe with one term moved down or up.  a_n = lam*n - c*(distance
+    from n to the nearest multiple of p) is superadditive, as that distance
+    is subadditive, and full of exact ties a_{m+n} = a_m + a_n."""
+    K = draw(st.one_of(st.integers(20, 60), st.integers(1450, 1550)))
     p = draw(st.integers(2, 9))
     lam, c, delta = (F(draw(st.integers(1, 9)), draw(st.sampled_from((1, 2, 3, 5, 7)))) for _ in range(3))
     values = [lam * n - c * min(n % p, -n % p) for n in range(K)]
@@ -203,11 +203,12 @@ class TestBlockedSweep:
         # The final cell of the triangle, (800, 800), next to the padding.
         assert m1 - 1 == 800
 
-    def test_the_numpy_switch_is_past_1500_terms(self, monkeypatch):
+    def test_the_numpy_switch_is_past_40_terms(self, monkeypatch):
         calls = helpers.count_calls(monkeypatch, sequences, "_numpy_gap")
-        assert superadditivity_gap(step_at(600, 1500)) == (600, 600)
+        assert superadditivity_gap(step_at(5, 12)) == (5, 5)
+        assert superadditivity_gap(step_at(15, 40)) == (15, 15)
         assert calls == []
-        assert self.three_ways(step_at(600, 1501), monkeypatch) == ((600, 600),) * 3
+        assert self.three_ways(step_at(15, 41), monkeypatch) == ((15, 15),) * 3
 
 
 class TestLimitEstimate:
