@@ -16,7 +16,7 @@ import math
 from .engine import _minmax_merge, factorials_weighting
 from .errors import IndexOutOfRange, Mismatch, StructureError
 from .sequences import FactorialSequence
-from .sources import AdelicSetSource, _integer_tuple
+from .sources import AdelicSetSource, _integer_set
 
 __all__ = [
     "legendre",
@@ -52,11 +52,7 @@ def _val(p: int, x: int) -> int:
 def _check_set(elements, n_max: int) -> tuple[int, ...]:
     """The set sorted, once it is a nonempty set of distinct integers and
     0 <= n_max < |S|, the number of its factorial terms."""
-    elems = tuple(sorted(_integer_tuple(elements)))
-    if not elems:
-        raise StructureError("need a nonempty set of integers")
-    if len(set(elems)) != len(elems):
-        raise StructureError("set elements must be distinct")
+    elems = _integer_set(elements)
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
     if n_max >= len(elems):

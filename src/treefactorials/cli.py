@@ -30,7 +30,7 @@ from .engine import (
     factorials_weighting,
 )
 from .errors import ParseError, TreeFactorialError
-from .realize import BiasedSequence, OrderChoice, verify_roundtrip, realize_lengths
+from .realize import BiasedSequence, OrderChoice, verify_roundtrip
 from .sources import _require_prime, expand, parse_generator_spec
 from .trees import INF, _content_lines, _float, format_length, parse_length, parse_tree_file, serialize_tree
 
@@ -225,12 +225,9 @@ def _parse_orders_file(text: str) -> OrderChoice:
 def _cmd_realize(args) -> int:
     seq = _parse_sequence_file(_read(args.seq), args.d)
     orders = _parse_orders_file(_read(args.orders)) if args.orders is not None else None
-    if args.verify:
-        report = verify_roundtrip(seq, orders)
-        tree = report.tree
-    else:
-        tree = realize_lengths(seq, orders)
-    sys.stdout.write(serialize_tree(tree))
+    # Every run checks the tree; --verify only reports the check.
+    report = verify_roundtrip(seq, orders)
+    sys.stdout.write(serialize_tree(report.tree))
     if args.verify:
         print("# roundtrip: first visits match")
         if report.full_prefix_match:
@@ -320,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="children per vertex")
     p.add_argument("--seq", required=True, metavar="FILE", help="rows 'generation,position,value'")
     p.add_argument("--orders", metavar="FILE", help="rows 'generation: slot,slot,...'")
-    p.add_argument("--verify", action="store_true", help="re-run the weighting and compare")
+    p.add_argument("--verify", action="store_true", help="report the roundtrip check (every run makes it)")
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("equidist", help="edge frequencies of a run vs the harmonic flow")
@@ -334,9 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a value such as -5,3 as an option: join it to a bare --set.
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--set" and argv[i].startswith("-") and not argv[i].startswith("--"):
+            argv[i - 1 : i + 1] = [f"--set={argv[i]}"]
+    # Exact values are read and printed in full, past the int-string digit cap.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except TreeFactorialError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -344,6 +348,8 @@ def main(argv=None) -> int:
     except _UnreadableInput as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from math import lcm
 
 from .errors import Exhausted, IndexOutOfRange, StructureError
 from .sequences import FactorialSequence
-from .sources import DEFAULT_BUDGET, LambdaScaledSource, RegularSource, SphericalSource, view_of
+from .sources import DEFAULT_BUDGET, _is_ray, view_of
 from .trees import INF, RootedTree
 
 __all__ = [
@@ -97,15 +97,6 @@ class WeightingRun:
     @property
     def steps(self) -> int:
         return len(self.sequence.values)
-
-
-def _is_ray(source) -> bool:
-    """Whether the source is one infinite path: every vertex has one child."""
-    if isinstance(source, LambdaScaledSource):
-        return _is_ray(source.base)
-    if isinstance(source, RegularSource):
-        return source.degree == 1
-    return isinstance(source, SphericalSource) and set(source.branching) == {1}
 
 
 def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error=False) -> WeightingRun:

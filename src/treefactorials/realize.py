@@ -103,11 +103,16 @@ def is_sufficiently_biased(seq: BiasedSequence) -> tuple[bool, int | None]:
     return True, None
 
 
-def _offsets(d: int, depth: int) -> list[int]:
-    out = [0]
-    for n in range(depth + 1):
-        out.append(out[-1] + d**n)
-    return out
+def _processing_order(seq: BiasedSequence, orders: OrderChoice):
+    """Each generation n >= 1 as (n, its vertices in processing order), a
+    vertex as (breadth-first id, rank): the children of u are d*u+1 .. d*u+d,
+    and the i-th vertex processed in a generation ranks i-th among its ids.
+    Generations come one at a time, each order checked as it is reached."""
+    start = 1
+    for gen in range(1, seq.depth + 1):
+        size = seq.d**gen
+        yield gen, [(start + slot, start + i) for i, slot in enumerate(orders.slot_order(gen, size))]
+        start += size
 
 
 def realize_lengths(seq: BiasedSequence, orders: OrderChoice | None = None) -> RootedTree:
@@ -122,26 +127,24 @@ def realize_lengths(seq: BiasedSequence, orders: OrderChoice | None = None) -> R
     Each computed length must land in [first_target / 2, target]; a value
     outside that window means the input was not biased enough and raises
     NotBiased.  Integer targets yield integer lengths.  The sums run on the
-    targets times the LCM of their denominators, in integers.
+    targets times the LCM of their denominators, in integers.  It does not
+    run the weighting: a table that passes these checks can still give a
+    tree whose first visits miss their targets, which verify_roundtrip finds.
     """
     ok, bad = is_sufficiently_biased(seq)
     if not ok:
         raise NotBiased(f"generation {bad} first value fails the bias inequality")
-    orders = orders or OrderChoice()
     d, depth = seq.d, seq.depth
-    offsets = _offsets(d, depth)
-    n_vertices = offsets[depth + 1]
-    # Breadth-first ids: the children of u are d*u+1 .. d*u+d.
+    first_leaf = (d**depth - 1) // (d - 1)
+    n_vertices = first_leaf + d**depth
     parents = [-1] + [(v - 1) // d for v in range(1, n_vertices)]
     scaled: list[int] = [0] * n_vertices  # lengths times `scale`
     scale = _denominator_lcm(seq.flattened())
-    for gen in range(1, depth + 1):
-        order = orders.slot_order(gen, d**gen)
+    for gen, order in _processing_order(seq, orders or OrderChoice()):
         group = seq.groups[gen]
         targets = [t.numerator * (scale // t.denominator) for t in group]
         below: dict[int, int] = {}
-        for i, slot in enumerate(order):
-            v = offsets[gen] + slot
+        for i, (v, _) in enumerate(order):
             acc, u = 0, parents[v]
             for j in range(gen - 1, 0, -1):
                 acc += (d ** (gen - j) + below.get(u, 0)) * scaled[u]
@@ -157,7 +160,7 @@ def realize_lengths(seq: BiasedSequence, orders: OrderChoice | None = None) -> R
             while u != 0:
                 below[u] = below.get(u, 0) + 1
                 u = parents[u]
-    caps = (None,) * offsets[depth] + (INF,) * (n_vertices - offsets[depth])
+    caps = (None,) * first_leaf + (INF,) * (n_vertices - first_leaf)
     return RootedTree(tuple(parents), (None, *(Fraction(x, scale) for x in scaled[1:])), caps)
 
 
@@ -187,15 +190,10 @@ def verify_roundtrip(seq: BiasedSequence, orders: OrderChoice | None = None) -> 
     """
     orders = orders or OrderChoice()
     tree = realize_lengths(seq, orders)
-    d, depth = seq.d, seq.depth
-    offsets = _offsets(d, depth)
-
-    rank: dict[int, int] = {0: 0}
-    for gen in range(1, depth + 1):
-        for i, slot in enumerate(orders.slot_order(gen, d**gen)):
-            rank[offsets[gen] + slot] = offsets[gen] + i
-
-    n_max = 2 * d ** (depth + 1)
+    generations = list(_processing_order(seq, orders))
+    d = seq.d
+    n_max = 2 * d ** (seq.depth + 1)
+    rank = {0: 0} | {v: r for _, order in generations for v, r in order}
     run = factorials_weighting(tree, n_max, OrderedTieBreak(rank), record_trace=True)
 
     gen_of = tree.depths
@@ -210,38 +208,30 @@ def verify_roundtrip(seq: BiasedSequence, orders: OrderChoice | None = None) -> 
         if step.vertex not in first_value:
             first_value[step.vertex] = step.value
 
-    flat_index = 0
-    first_visits: list[tuple[Fraction, ...]] = []
-    zeros = tuple(s.value for s in run.trace[: seq.d] if s.vertex == 0)
-    if len(zeros) != seq.d or any(z != 0 for z in zeros):
+    zeros = tuple(s.value for s in run.trace[:d] if s.vertex == 0)
+    if len(zeros) != d or any(z != 0 for z in zeros):
         raise Mismatch("root window is not d zeros", index=0)
-    first_visits.append(zeros)
-    flat_index += seq.d
-    for gen in range(1, depth + 1):
-        got = []
-        for i, slot in enumerate(orders.slot_order(gen, d**gen)):
-            v = offsets[gen] + slot
-            expected = seq.groups[gen][i]
+    for gen, order in generations:
+        for i, (v, r) in enumerate(order):
+            # The flattened input holds d zeros, then the ranks 1, 2, ...
+            index = r + d - 1
             if v not in first_value:
                 raise Mismatch(
                     f"generation {gen} vertex in position {i + 1} was never selected "
                     f"within {n_max} steps",
-                    index=flat_index,
+                    index=index,
                 )
-            actual = first_value[v]
+            actual, expected = first_value[v], seq.groups[gen][i]
             if actual != expected:
                 raise Mismatch(
                     f"generation {gen}, position {i + 1}: first visit at {actual}, "
                     f"wanted {expected}",
-                    index=flat_index,
+                    index=index,
                 )
-            got.append(actual)
-            flat_index += 1
-        first_visits.append(tuple(got))
 
     flat = seq.flattened()
     values = run.sequence.values
     full_prefix = len(values) >= len(flat) and tuple(values[: len(flat)]) == flat
     if not coherent:
         raise Mismatch("a selection jumped back to an earlier generation", index=0)
-    return RoundtripReport(tree, tuple(first_visits), full_prefix, coherent, run.steps)
+    return RoundtripReport(tree, seq.groups, full_prefix, coherent, run.steps)

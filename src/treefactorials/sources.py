@@ -8,8 +8,9 @@ materializes children on demand under a safety budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import DepthBudgetExceeded, ParseError, StructureError
 from .trees import INF, Capacity, RootedTree, _denominator_lcm, parse_length
@@ -61,33 +62,6 @@ class TreeSource:
 
 
 @dataclass(frozen=True)
-class RegularSource(TreeSource):
-    """Every vertex has exactly `degree` children at the same edge length."""
-
-    degree: int
-    length: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise StructureError("regular source needs degree >= 1")
-        object.__setattr__(self, "length", Fraction(self.length))
-        if self.length <= 0:
-            raise StructureError("edge length must be positive")
-
-    def root_state(self):
-        return None
-
-    def state_children(self, state, depth):
-        return [(self.length, None)] * self.degree
-
-    def state_capacity(self, state, depth):
-        return None
-
-    def length_scale(self):
-        return self.length.denominator
-
-
-@dataclass(frozen=True)
 class SphericalSource(TreeSource):
     """Spherically symmetric tree from branching and length sequences.
 
@@ -98,6 +72,11 @@ class SphericalSource(TreeSource):
 
     branching: tuple[int, ...]
     lengths: tuple[Fraction, ...] = (Fraction(1),)
+    # Children per level of one period of both sequences, built on first
+    # use, and the levels (mod len(branching)) where the tree ends.
+    _period: int = field(init=False, repr=False, compare=False)
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ends: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.branching or not self.lengths:
@@ -107,24 +86,47 @@ class SphericalSource(TreeSource):
         object.__setattr__(self, "lengths", tuple(Fraction(x) for x in self.lengths))
         if any(x <= 0 for x in self.lengths):
             raise StructureError("edge lengths must be positive")
-
-    def _b(self, depth: int) -> int:
-        return self.branching[depth % len(self.branching)]
-
-    def _len(self, depth: int) -> Fraction:
-        return self.lengths[depth % len(self.lengths)]
+        object.__setattr__(self, "_period", lcm(len(self.branching), len(self.lengths)))
+        object.__setattr__(self, "_ends", frozenset(k for k, b in enumerate(self.branching) if b == 0))
 
     def root_state(self):
         return None
 
     def state_children(self, state, depth):
-        return [(self._len(depth), None)] * self._b(depth)
+        k = depth % self._period
+        kids = self._levels.get(k)
+        if kids is None:
+            ln = self.lengths[k % len(self.lengths)]
+            kids = self._levels[k] = ((ln, None),) * self.branching[k % len(self.branching)]
+        return kids
 
     def state_capacity(self, state, depth):
-        return 1 if self._b(depth) == 0 else None
+        if self._ends and depth % len(self.branching) in self._ends:
+            return 1
+        return None
 
     def length_scale(self):
         return _denominator_lcm(self.lengths)
+
+
+class RegularSource(SphericalSource):
+    """Every vertex has exactly `degree` children at the same edge length:
+    the spherical source with one level."""
+
+    def __init__(self, degree: int, length=Fraction(1)):
+        if degree < 1:
+            raise StructureError("regular source needs degree >= 1")
+        if Fraction(length) <= 0:
+            raise StructureError("edge length must be positive")
+        super().__init__((degree,), (length,))
+
+    @property
+    def degree(self) -> int:
+        return self.branching[0]
+
+    @property
+    def length(self) -> Fraction:
+        return self.lengths[0]
 
 
 @dataclass(frozen=True)
@@ -194,12 +196,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _integer_tuple(elements) -> tuple[int, ...]:
-    """The set's elements as a tuple; StructureError names one not an int."""
+def _integer_set(elements) -> tuple[int, ...]:
+    """The elements sorted, once they are a nonempty set of distinct
+    integers; StructureError otherwise."""
     for x in (elems := tuple(elements)):
         if not isinstance(x, int):
             raise StructureError(f"set elements must be integers, got {x!r}")
-    return elems
+    if not elems:
+        raise StructureError("need a nonempty set of integers")
+    if len(set(elems)) != len(elems):
+        raise StructureError("set elements must be distinct")
+    return tuple(sorted(elems))
 
 
 def _require_prime(n: int) -> None:
@@ -226,16 +233,12 @@ class AdelicSetSource(TreeSource):
     p: int
 
     def __post_init__(self):
-        if not self.elements:
-            raise StructureError("adelic source needs a nonempty set")
-        _integer_tuple(self.elements)
-        if len(set(self.elements)) != len(self.elements):
-            raise StructureError("adelic source elements must be distinct")
+        object.__setattr__(self, "elements", _integer_set(self.elements))
         if not isinstance(self.p, int) or self.p < 2:
             raise StructureError(f"modulus must be an integer >= 2, got {self.p!r}")
 
     def root_state(self):
-        return tuple(sorted(self.elements))
+        return self.elements
 
     def state_children(self, state, depth):
         mod = self.p ** (depth + 1)
@@ -375,6 +378,20 @@ def view_of(source_or_tree, budget: int = DEFAULT_BUDGET):
     return LazyView(source_or_tree, budget)
 
 
+def _spherical_base(source):
+    """The spherical source under any lambda-scalings of `source`, or None:
+    its branching numbers are the source's."""
+    while isinstance(source, LambdaScaledSource):
+        source = source.base
+    return source if isinstance(source, SphericalSource) else None
+
+
+def _is_ray(source) -> bool:
+    """Whether the source is one infinite path: every vertex has one child."""
+    base = _spherical_base(source)
+    return base is not None and set(base.branching) == {1}
+
+
 def level_branching(source: TreeSource, depth: int) -> list[int] | None:
     """Children per vertex at depths 0..depth-1, when the source is
     spherically symmetric by construction and does not end above `depth`;
@@ -384,14 +401,10 @@ def level_branching(source: TreeSource, depth: int) -> list[int] | None:
     series of uniform parallel levels, so R = sum(length_k / count_k), where
     count_k is the product of the first k branching numbers.
     """
-    if isinstance(source, RegularSource):
-        return [source.degree] * depth
-    if isinstance(source, SphericalSource):
-        branching = [source._b(k) for k in range(depth)]
-        return None if 0 in branching else branching
-    if isinstance(source, LambdaScaledSource):
-        return level_branching(source.base, depth)
-    return None
+    if (base := _spherical_base(source)) is None:
+        return None
+    levels = (list(base.branching) * (depth // len(base.branching) + 1))[:depth]
+    return None if 0 in levels else levels
 
 
 def _split_fields(text: str) -> list[str]:

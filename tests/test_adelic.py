@@ -259,6 +259,30 @@ class TestElementCheck:
             with pytest.raises(StructureError, match=text):
                 call()
 
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ((), "need a nonempty set of integers"),
+            ((3, 1, 3), "set elements must be distinct"),
+            ((0, 1.0), "set elements must be integers, got 1.0"),
+        ],
+        ids=["empty", "duplicate", "non-integer"],
+    )
+    def test_one_rule_one_message(self, elements, message):
+        for call in (
+            lambda: factorials_prime(elements, 2, 0),
+            lambda: bhargava_factorials(elements, 0),
+            lambda: greedy_bhargava_oracle(elements, 0),
+            lambda: AdelicSetSource(elements, 2),
+        ):
+            with pytest.raises(StructureError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_source_keeps_the_sorted_set(self):
+        assert AdelicSetSource([9, -4, 0], 3).elements == (-4, 0, 9)
+        assert AdelicSetSource((9, -4, 0), 3) == AdelicSetSource((0, 9, -4), 3)
+
     def test_no_modulus_error_for_a_bad_element(self):
         with pytest.raises(StructureError) as exc:
             bhargava_factorials((0, 1.5), 1)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import helpers
 from treefactorials import INF, cli, flow, format_length, parse_tree_file, serialize_tree
 from treefactorials.cli import build_parser, main
+from treefactorials.realize import BiasedSequence, verify_roundtrip
 
 
 def run_cli(*argv):
@@ -185,6 +186,13 @@ class TestAdelic:
         code, _, err = run_cli("adelic", "--set", "0,1", "--n", "5")
         assert code == 1
         assert err.startswith("IndexOutOfRange:")
+
+    @pytest.mark.parametrize("spaced", [True, False])
+    def test_set_value_starting_with_minus(self, spaced):
+        # argparse reads -5,3 as an option unless it is joined to --set.
+        argv = ("--set", "-5,3") if spaced else ("--set=-5,3",)
+        assert run_cli("adelic", *argv, "--n", "1") == (0, "factorial(0) = 1\nfactorial(1) = 8\n", "")
+        assert run_cli("adelic", "--n", "1", *argv, "--p", "2") == (0, "factorial(0) = 1\nfactorial(1) = 8\n", "")
 
     def test_negative_n_is_domain_error(self):
         code, out, err = run_cli("adelic", "--set", "0,1", "--n", "-1")
@@ -475,6 +483,33 @@ class TestBranching:
 HUGE = "1" + "0" * 400  # past the float range
 
 
+class TestDigitCap:
+    """Exact values past the interpreter's 4,300-digit cap on int-string
+    conversion are read and printed in full, and the cap is restored."""
+
+    def test_resistance_past_the_cap(self, tmp_path):
+        rng = random.Random(5)
+        lengths = [Fraction(rng.randrange(10**399, 10**400), rng.randrange(10**399, 10**400)) for _ in range(12)]
+        path = tmp_path / "star.tree"
+        path.write_text(serialize_tree(helpers.star(lengths, [INF] * 12)))
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli("flow", "--tree", str(path))
+        assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+        want = 1 / sum(1 / ln for ln in lengths)
+        assert want.denominator > 10**limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out.splitlines()[0] == f"resistance = {format_length(want)}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_length_past_the_cap(self, tmp_path):
+        length = "9" * 5000
+        path = tmp_path / "edge.tree"
+        path.write_text(f"node 0 parent=-\nnode 1 parent=0 length={length} capacity=inf\n")
+        assert run_cli("factorials", "--tree", str(path), "--n", "1") == (0, f"a_0 = 0\na_1 = {length}\n", "")
+
+
 class TestFloatRange:
     """A value past the float range prints as inf; a branching evaluation
     that reaches it is divergent."""
@@ -563,6 +598,45 @@ class TestRealize:
         code, _, err = run_cli("realize", "--d", "2", "--seq", path)
         assert code == 1
         assert err.startswith("NotBiased:")
+
+    def test_tree_missing_its_targets_is_a_mismatch(self, tmp_path):
+        # The table passes the bias check and every computed length lies in
+        # its window, but the second child of the first generation-1 vertex
+        # gets length 350 - 3*36 = 242 and is first visited at 314, before
+        # its sibling; no tree is printed, with or without --verify.
+        rows = ["0,1,0", "0,2,0", "1,1,36", "1,2,41", "2,1,344", "2,2,350", "2,3,350", "2,4,362"]
+        path = self.seq_file(tmp_path, rows)
+        want = (1, "", "Mismatch: generation 2, position 1: first visit at 380, wanted 344\n")
+        assert run_cli("realize", "--d", "2", "--seq", path) == want
+        assert run_cli("realize", "--d", "2", "--seq", path, "--verify") == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_printed_tree_realizes_its_table(self, tmp_path_factory, data):
+        """On random nondecreasing tables, ties allowed, exit 0 prints the
+        tree that --verify prints and that passes verify_roundtrip; any other
+        run is exit 1 with Mismatch or NotBiased and nothing on stdout."""
+        d, depth = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
+        groups, running = [(0,) * d], 0
+        for n in range(1, depth + 1):
+            value = max(1, 2 * d**n * running + data.draw(st.integers(-3, 40)))
+            group = []
+            for _ in range(d**n):
+                group.append(value)
+                value += data.draw(st.sampled_from((0, 1, 2, 5)) | st.integers(0, value))
+            groups.append(tuple(group))
+            running += group[-1]
+        rows = [f"{n},{i},{v}" for n, group in enumerate(groups) for i, v in enumerate(group, 1)]
+        path = self.seq_file(tmp_path_factory.mktemp("realize"), rows)
+        code, out, err = run_cli("realize", "--d", str(d), "--seq", path)
+        checked = run_cli("realize", "--d", str(d), "--seq", path, "--verify")
+        if code == 0:
+            assert checked[0] == 0 and checked[1].startswith(out)
+            report = verify_roundtrip(BiasedSequence(d, tuple(groups)))
+            assert serialize_tree(report.tree) == out
+        else:
+            assert (code, out) == (1, "") and err.split(":")[0] in ("Mismatch", "NotBiased")
+            assert checked == (code, out, err)
 
     def test_zero_denominator_is_a_parse_error(self, tmp_path):
         path = self.seq_file(tmp_path, ["0,1,0", "0,2,1/0"])
@@ -658,6 +732,7 @@ class TestExitCodes:
              "ParseError: lambda spec takes fields ['base', 'lambda'], got ['base', 'd', 'lambda']"),
             ("gen", "lambda base=regular lambda=2", "ParseError: lambda base spec must be parenthesized"),
             ("gen", "spherical b=2,-1", "StructureError: branching values must be >= 0"),
+            ("gen", "adelic p=2 set=1,1", "StructureError: set elements must be distinct"),
             ("seq", "# no rows", "ParseError: empty sequence file"),
             ("seq", "0,1,0\n0,2,0\n1,1,10", "ParseError: generation 1 needs positions 1..2"),
             ("orders", "1 0,1", "ParseError: line 1: expected 'generation: slot,slot,...'"),
@@ -763,6 +838,46 @@ def realize_inputs(draw):
     return argv, seq, orders
 
 
+@st.composite
+def tree_file_inputs(draw):
+    """(argv without --tree, tree file text): a path of up to 3,000 edges or
+    a star of up to 500 leaves, leaf capacities 1, 2 or inf, and each edge
+    length drawn from a pool of up to 3 rationals whose numerators and
+    denominators have 1 to 400 digits (or 1).  The pool bounds the size of
+    the exact answers: k distinct d-digit denominators give values of up to
+    k*d digits."""
+    # Each size range is drawn with its ends weighted up.
+    digits = (st.sampled_from((1, 400)) | st.integers(1, 400)).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1))
+    pool = draw(st.lists(st.just(Fraction(1)) | st.builds(Fraction, digits, digits), min_size=1, max_size=3))
+    caps = (1, 2, INF)
+    # Per-edge choices come from a seeded stream: 3,000 draws would overrun
+    # an example's data.
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from((1, 3000)) | st.integers(1, 3000))
+        tree = helpers.path_tree([rng.choice(pool) for _ in range(k)], rng.choice(caps))
+    else:
+        k = draw(st.sampled_from((1, 500)) | st.integers(1, 500))
+        tree = helpers.star([rng.choice(pool) for _ in range(k)], [rng.choice(caps) for _ in range(k)])
+    n = str(draw(st.integers(0, 4)))
+    argv = draw(
+        st.sampled_from(
+            [
+                ("factorials", "--n", n),
+                ("factorials", "--n", n, "--t", "1", "--csv"),
+                ("oracle-check", "--n", n),
+                ("flow",),
+                ("flow", "--csv"),
+                ("flow", "--trials", "3", "--seed", n),
+                ("equidist", "--n", n),
+                ("equidist", "--n", n, "--csv"),
+                ("branching", "--lambda-lo", "1", "--lambda-hi", "2"),
+            ]
+        )
+    )
+    return argv, serialize_tree(tree)
+
+
 # Arguments that make each subcommand reading a tree run; the sweep below
 # feeds every one of them degenerate trees.
 SWEEP = {
@@ -814,6 +929,14 @@ class TestRobustnessSweep:
     @given(adelic_argv())
     def test_adelic_sweep(self, argv):
         self.twice(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_file_inputs())
+    def test_tree_file_sweep(self, tmp_path_factory, inputs):
+        (cmd, *extra), text = inputs
+        path = tmp_path_factory.mktemp("sweep") / "input.tree"
+        path.write_text(text)
+        self.twice([cmd, "--tree", str(path), *extra])
 
     @settings(max_examples=80, deadline=None)
     @given(realize_inputs())

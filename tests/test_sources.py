@@ -14,14 +14,20 @@ from treefactorials import (
     ParseError,
     RegularSource,
     RootedTree,
+    SeededRandom,
     SphericalSource,
     StructureError,
+    branching_number_estimate,
+    effective_resistance,
+    engine,
     expand,
+    factorials_removed,
     factorials_weighting,
     parse_generator_spec,
+    unit_current_flow,
 )
 from treefactorials.errors import DepthBudgetExceeded
-from treefactorials.sources import TreeSource, level_branching
+from treefactorials.sources import TreeSource, _dag, _is_ray, level_branching
 
 
 class RunsSource(TreeSource):
@@ -111,16 +117,76 @@ class TestExpand:
                 assert expand(src, depth) == oracles.expand_by_queue(src, depth), (src, depth)
 
 
+class TestRegularIsOneLevelSpherical:
+    """RegularSource(d, L) is SphericalSource((d,), (L,)): it adds no
+    protocol method, and every layer gives both the same results."""
+
+    PAIRS = [(2, Fraction(1)), (3, Fraction(3, 2)), (1, Fraction(2, 5)), (4, Fraction(7))]
+
+    def test_defines_no_protocol_method(self):
+        assert issubclass(RegularSource, SphericalSource)
+        for name in ("root_state", "state_children", "state_capacity", "length_scale"):
+            assert name not in vars(RegularSource)
+        src = RegularSource(3, Fraction(3, 2))
+        assert (src.degree, src.length, src.length_scale()) == (3, Fraction(3, 2), 2)
+
+    def test_engine_imports_no_source_class(self):
+        assert not [v for v in vars(engine).values() if isinstance(v, type) and issubclass(v, TreeSource)]
+
+    @pytest.mark.parametrize("d, length", PAIRS)
+    def test_same_dag_and_flow(self, d, length):
+        reg, sph = RegularSource(d, length), SphericalSource((d,), (length,))
+        for depth in range(5):
+            assert _dag(reg, depth) == _dag(sph, depth)
+        assert level_branching(reg, 4096) == level_branching(sph, 4096) == [d] * 4096
+        assert effective_resistance(reg, 6) == effective_resistance(sph, 6)
+        a, b = unit_current_flow(reg, 4), unit_current_flow(sph, 4)
+        assert (a.energy, a.flows, a.escape) == (b.energy, b.flows, b.escape)
+        if d > 1:
+            assert branching_number_estimate(reg, 1, d + 1) == branching_number_estimate(sph, 1, d + 1)
+
+    @pytest.mark.parametrize("d, length", [pair for pair in PAIRS if pair[0] > 1])
+    def test_same_weighting_runs(self, d, length):
+        reg, sph = RegularSource(d, length), SphericalSource((d,), (length,))
+        runs = [
+            lambda src: factorials_weighting(src, 300, record_trace=True),
+            lambda src: factorials_removed(src, 1, 300, record_trace=True),
+            lambda src: factorials_weighting(src, 300, SeededRandom(7), record_trace=True),
+        ]
+        for run in runs:
+            a, b = run(reg), run(sph)
+            assert (a.sequence.values, a.trace, a.weights) == (b.sequence.values, b.trace, b.weights)
+
+    def test_ray_and_branching_through_nested_scalings(self):
+        for base, ray in ((RegularSource(1, Fraction(1, 3)), True), (SphericalSource((1, 1)), True),
+                          (RegularSource(2), False), (SphericalSource((1, 2)), False)):
+            nested = LambdaScaledSource(LambdaScaledSource(base, Fraction(3, 2)), Fraction(1, 2))
+            assert _is_ray(nested) is _is_ray(base) is ray
+            assert level_branching(nested, 9) == level_branching(base, 9)
+        assert not _is_ray(AdelicSetSource((0, 1), 2))
+        assert not _is_ray(helpers.path_tree([1, 1]))
+        assert level_branching(LambdaScaledSource(LambdaScaledSource(SphericalSource((2, 0)), 2), 3), 2) is None
+
+    def test_children_are_built_once_per_level_of_the_period(self):
+        src = SphericalSource((2, 3), (Fraction(1), Fraction(1, 2), Fraction(1, 3)))
+        kids = [src.state_children(None, k) for k in range(24)]
+        assert [len(k) for k in kids] == [2, 3] * 12
+        assert [k[0][0] for k in kids] == [Fraction(1), Fraction(1, 2), Fraction(1, 3)] * 8
+        assert all(kids[k] is kids[k + 6] for k in range(18))
+        assert src == SphericalSource((2, 3), (Fraction(1), Fraction(1, 2), Fraction(1, 3)))
+        assert hash(src) == hash(SphericalSource((2, 3), (Fraction(1), Fraction(1, 2), Fraction(1, 3))))
+
+
 class TestSourceValidation:
     def test_regular_degree(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="^regular source needs degree >= 1$"):
             RegularSource(0)
 
     def test_regular_coerces_length(self):
         assert RegularSource(2, 2).length == Fraction(2)
 
     def test_nonpositive_lengths(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="^edge length must be positive$"):
             RegularSource(2, 0)
         with pytest.raises(StructureError):
             SphericalSource((2,), (0,))
