@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 # Module-level names that stay in their modules' __all__ but are not part of
 # the package's interface.
 _MODULE_ONLY = {
-    "DEFAULT_BUDGET", "ExplicitView", "LazyView", "TreeSource", "format_length", "parse_length", "view_of"
+    "DEFAULT_BUDGET", "LazyView", "TreeSource", "format_length", "parse_length", "view_of"
 }
 
 __all__ = [

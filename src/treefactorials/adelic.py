@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 
-from .engine import _minmax_merge, factorials_weighting
+from .engine import _minmax, factorials_weighting
 from .errors import IndexOutOfRange, Mismatch, StructureError
 from .sequences import FactorialSequence
-from .sources import AdelicSetSource, _integer_set
+from .sources import AdelicSetSource, _integer_set, _val
 
 __all__ = [
     "legendre",
@@ -30,29 +30,14 @@ def legendre(n: int, p: int) -> int:
     """Valuation of n! at p: sum of floor(n / p**i)."""
     if n < 0:
         raise StructureError("n must be >= 0")
-    total = 0
-    q = p
+    total, q = 0, p
     while q <= n:
-        total += n // q
-        q *= p
+        total, q = total + n // q, q * p
     return total
 
 
-def _val(p: int, x: int) -> int:
-    if x == 0:
-        raise StructureError("valuation of 0 requested; set elements must be distinct")
-    x = abs(x)
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _check_set(elements, n_max: int) -> tuple[int, ...]:
-    """The set sorted, once it is a nonempty set of distinct integers and
-    0 <= n_max < |S|, the number of its factorial terms."""
-    elems = _integer_set(elements)
+def _check_index(elems: tuple[int, ...], n_max: int) -> tuple[int, ...]:
+    """The set, once 0 <= n_max < |S|, the number of its factorial terms."""
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
     if n_max >= len(elems):
@@ -62,37 +47,12 @@ def _check_set(elements, n_max: int) -> tuple[int, ...]:
 
 def factorials_prime(elements, p: int, n_max: int) -> FactorialSequence:
     """Integer factorial sequence of the residue tree of S mod powers of p,
-    for n <= n_max: val_p(n!_S) at a prime p.  bhargava_factorials runs it on
-    the elements of a coprime base.
-
-    A class of 2+ elements stays whole down to depth v = val_p(gcd of its
-    differences) and splits mod p**(v+1).  Its vertex merges the subclasses'
-    streams (engine._minmax_merge): one splitting at depth w adds k * (w - v)
-    to its k-th term, a one-element one is a capacity-1 leaf (a single 0).
-    Merging runs in the reverse of the order classes are found, no recursion.
-    """
-    elems = _check_set(elements, n_max)
-    root = AdelicSetSource(elems, p).root_state()  # the source checks p
-    if len(root) == 1:
-        return FactorialSequence((0,), f"adelic(p={p})")
-    keep = n_max + 1
-    # Classes of 2+ elements as (parent, entry depth, elements), parents first,
-    # with split depths and streams (the first a 0 per one-element subclass).
-    found, split, streams = [(-1, 0, root)], [], []
-    for i, (_, d, cls) in enumerate(found):
-        v = d + _val(p, math.gcd(*(s - cls[0] for s in cls)) // p**d)
-        classes: dict[int, list[int]] = {}
-        mod = p ** (v + 1)
-        for s in cls:
-            classes.setdefault(s % mod, []).append(s)
-        split.append(v)
-        streams.append([([0] * min(sum(len(c) == 1 for c in classes.values()), keep), 0)])
-        found += ((i, v + 1, c) for c in classes.values() if len(c) > 1)
-    for i in range(len(found) - 1, 0, -1):
-        parent = found[i][0]
-        streams[parent].append((_minmax_merge(streams[i], keep), split[i] - split[parent]))
-    values = _minmax_merge([(_minmax_merge(streams[0], keep), split[0])], keep)
-    return FactorialSequence(tuple(values), f"adelic(p={p})")
+    for n <= n_max: val_p(n!_S) at a prime p.  It is the min-max on
+    AdelicSetSource(S, p), where a class stays whole for one gcd's cost and
+    unit lengths keep the terms ints.  bhargava_factorials runs it on a base."""
+    source = AdelicSetSource(elements, p)  # checks the set and p
+    _check_index(source.elements, n_max)
+    return FactorialSequence(tuple(_minmax(source, n_max)[0]), f"adelic(p={p})")
 
 
 # Base elements per product that _coprime_base tests a pending value against.
@@ -158,42 +118,34 @@ def bhargava_factorials(elements, n_max: int) -> list[int]:
     val_p(n!_S) = val_p(q) * e_q(n), and the p-parts over p | q multiply to
     q**e_q(n).
     """
-    elems = _check_set(elements, n_max)
+    elems = _check_index(_integer_set(elements), n_max)
     base = _difference_base(elems)
     out = [1] * (n_max + 1)
     for q in base:
         exponents = factorials_prime(elems, q, n_max).values
         for n, v in enumerate(exponents):
             out[n] *= q**v
-    # One weighting run, on the largest base element, checks the merge; the
+    # One weighting run, on the largest base element, checks the min-max; the
     # benchmark's tracer tests also expect this call to reach the engine.
     if base and factorials_weighting(AdelicSetSource(elems, q), n_max).sequence.values != exponents:
-        raise Mismatch(f"residue merge and weighting run differ mod {q}")
+        raise Mismatch(f"residue tree min-max and weighting run differ mod {q}")
     return out
 
 
 def greedy_bhargava_oracle(elements, n_max: int) -> list[int]:
     """n!_S with no tree machinery: for each element q of the coprime base
-    of the differences run the valuation-greedy ordering directly on the
-    integers, then multiply.
-
-    Step n picks an element minimizing val_q of the product of differences of
-    everything chosen so far; that minimum is val_q(n!_S), the exponent of q
-    in n!_S.
+    of the differences, step n picks an element minimizing val_q of the
+    product of its differences to everything chosen so far; that minimum is
+    val_q(n!_S), the exponent of q in n!_S.
     """
-    elems = _check_set(elements, n_max)
+    elems = _check_index(_integer_set(elements), n_max)
     out = [1] * (n_max + 1)
     for q in _difference_base(elems):
-        chosen: list[int] = []
-        remaining = list(elems)
+        chosen, remaining = [], list(elems)
         for n in range(n_max + 1):
-            best_v: int | None = None
-            best_s = None
-            for s in remaining:
-                v = sum(_val(q, s - c) for c in chosen)
-                if best_v is None or v < best_v:
-                    best_v, best_s = v, s
-            chosen.append(best_s)
-            remaining.remove(best_s)
-            out[n] *= q**best_v
+            # Ties go to the smallest element, the first one in `remaining`.
+            v, s = min((sum(_val(q, s - c) for c in chosen), s) for s in remaining)
+            chosen.append(s)
+            remaining.remove(s)
+            out[n] *= q**v
     return out

@@ -148,13 +148,14 @@ def _cmd_adelic(args) -> int:
 
 def _cmd_flow(args) -> int:
     fl = flow_mod.unit_current_flow(*_load_network(args))
+    # Flows, escape and walk (on the flow's own truncation) are computed
+    # before any line is printed, so a rejected input prints none.
     if args.csv:
+        flows = sorted(fl.flows.items())
         print("edge_parent,edge_child,flow_num,flow_den")
-        for v, f in sorted(fl.flows.items()):
+        for v, f in flows:
             print(f"{fl.tree.parents[v]},{v},{f.numerator},{f.denominator}")
         return 0
-    # The escape and the walk (on the flow's own truncation) are computed
-    # before any line is printed, so a rejected input prints none.
     escape = fl.escape
     walk = flow_mod._walk(fl.tree, args.trials, args.seed or 0) if args.trials else None
     print(f"resistance = {_fmt(fl.energy, args.float)}")

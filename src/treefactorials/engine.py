@@ -11,13 +11,12 @@ and exist to cross-check the engine.
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import Exhausted, IndexOutOfRange, StructureError
+from .errors import DepthBudgetExceeded, Exhausted, IndexOutOfRange, StructureError
 from .sequences import FactorialSequence
 from .sources import DEFAULT_BUDGET, _is_ray, view_of
 from .trees import INF, RootedTree
@@ -57,8 +56,7 @@ class SeededRandom:
         self._keys: dict[int, tuple[float, int]] = {}
 
     def key(self, v: int):
-        k = self._keys.get(v)
-        if k is None:
+        if (k := self._keys.get(v)) is None:
             k = self._keys[v] = (self.rng.random(), v)
         return k
 
@@ -99,6 +97,9 @@ class WeightingRun:
         return len(self.sequence.values)
 
 
+_RAY = "a single infinite ray has no finite a_1: its only path never branches or ends"
+
+
 def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error=False) -> WeightingRun:
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
@@ -131,7 +132,7 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
     if n_max == 0:
         return finish()
     if _is_ray(source):
-        raise StructureError("a single infinite ray has no finite a_1: its only path never branches or ends")
+        raise StructureError(_RAY)
 
     # Hierarchical argmin over lists indexed by node id.  A vertex enters
     # the lists when it is weighted: kids[v] is its children tuple, par[v]
@@ -318,19 +319,10 @@ def factorials_removed(
 
 
 def capacity_bound(tree: RootedTree):
-    """Number of factorial terms N: 1 plus (branching-1) over branching
-    vertices plus (capacity-1) over leaves; inf when any capacity is inf."""
-    total = 1
-    for v in range(len(tree)):
-        k = len(tree.children[v])
-        if k >= 2:
-            total += k - 1
-        elif k == 0:
-            cap = tree.capacities[v]
-            if cap == INF:
-                return INF
-            total += cap - 1
-    return total
+    """Number of factorial terms N: the sum of the leaf capacities, inf when
+    one is; the leaves number 1 plus (children - 1) summed over inner vertices."""
+    caps = [tree.capacities[v] for v in tree.leaves]
+    return INF if INF in caps else sum(caps)
 
 
 def factorials_greedy_oracle(tree: RootedTree, n_max: int) -> FactorialSequence:
@@ -340,10 +332,12 @@ def factorials_greedy_oracle(tree: RootedTree, n_max: int) -> FactorialSequence:
     capacity; the pairing of two elements is the plain length of their common
     edges, and re-selecting a leaf pairs at the full path length.  Each step
     picks a feasible element of minimum total pairing against everything
-    already selected.
+    already selected.  It needs an explicit tree, whose leaves it lists.
     """
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
+    if not isinstance(tree, RootedTree):
+        raise StructureError("the greedy oracle needs an explicit tree; expand a generated source first")
     leaves = tree.leaves
     paths = [tree.root_path(m) for m in leaves]
     caps = [tree.capacities[m] for m in leaves]
@@ -376,40 +370,102 @@ def factorials_greedy_oracle(tree: RootedTree, n_max: int) -> FactorialSequence:
     return FactorialSequence(tuple(values), "greedy-oracle")
 
 
-def _minmax_merge(children, keep: int) -> list:
-    """The min-max step at a vertex: the `keep` smallest of the streams
-    a_k + k * length over its children's (terms a_0, a_1, ..., length)."""
-    streams = [[a + k * ln for k, a in enumerate(terms)] for terms, ln in children]
-    return list(itertools.islice(heapq.merge(*streams), keep))
+@dataclass(slots=True)
+class _Node:
+    """A (state, depth) node: terms so far; once expanded, runs and their heads ([] when spent)."""
+
+    key: tuple
+    terms: list | tuple = ()
+    runs: list | None = None
+    heap: list | None = None
 
 
-def factorials_minmax(tree: RootedTree, n_max: int) -> FactorialSequence:
+def factorials_minmax(source, n_max: int) -> FactorialSequence:
     """Min over compositions (n_1..n_d) of n+1 with n_j <= N_j of the max of
     subtree terms a_{n_j-1} + (n_j-1) * edge length, skipping n_j = 0.
 
-    Each child stream b_j(k) = a_k(T_j) + k * length_j is nondecreasing, so
-    the minimum over compositions of the maximum is the (n+1)-th smallest
-    element of the merged streams: the merge step `_minmax_merge`, which the
-    adelic residue trees share.  Node ids are topological, so one pass from
-    the last id to the root merges every vertex's children before the vertex
-    itself, keeping the first n_max+1 terms; a leaf contributes capacity
-    many zeros and a single child is the one-stream case.  Independent of
-    the weighting engine: recursive order statistics instead of incremental
-    edge weights.  Raises IndexOutOfRange when n_max >= N.
+    The streams b_j(k) = a_k(T_j) + k * length_j are nondecreasing, so a_n
+    is the (n+1)-th smallest of their merge.  `source`, a RootedTree or any
+    TreeSource, is walked once per (state, depth) node and lazily: a head
+    starts at a_0 = 0, a consumed head b gives way to the bound b + length,
+    and a child's next term is pulled only when its bound is the least head.
+    Independent of the weighting engine.  Raises IndexOutOfRange when
+    n_max >= N, DepthBudgetExceeded past DEFAULT_BUDGET levels.
     """
+    terms, scale = _minmax(source, n_max)
+    return FactorialSequence(tuple(Fraction(v, scale) for v in terms), "minmax")
+
+
+def _minmax(source, n_max: int) -> tuple[list[int], int]:
+    """The terms of factorials_minmax times a scale, and the scale."""
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
-    bound = capacity_bound(tree)
-    if n_max >= bound:
-        raise IndexOutOfRange(f"tree has N={bound} terms, requested index {n_max}")
-    keep = n_max + 1
-    terms: list = [None] * len(tree)
-    for v in range(len(tree) - 1, -1, -1):
-        kids = tree.children[v]
-        if not kids:
-            terms[v] = [Fraction(0)] * min(tree.capacities[v], keep)
-            continue
-        terms[v] = _minmax_merge([(terms[c], tree.lengths[c]) for c in kids], keep)
-        for c in kids:
-            terms[c] = None
-    return FactorialSequence(tuple(terms[0]), "minmax")
+    if n_max and _is_ray(source):
+        raise StructureError(_RAY)
+    keep, scale, zeros = n_max + 1, source.length_scale() or 1, (0,) * (n_max + 1)
+    nodes: dict = {}  # (state, depth) -> its node; a leaf's is complete when made
+
+    def node(key) -> _Node:
+        x = nodes[key] = _Node(key)
+        if (cap := source.state_capacity(*key)) is not None:
+            x.terms, x.runs, x.heap = zeros[: min(cap, keep)], [], []
+        return x
+
+    root = node((source.root_state(), 0))
+    # (node, terms it must have), each node above the one it waits on.
+    stack, last_len = [(root, keep)], None
+    while stack:
+        x, want = stack[-1]
+        if x.runs is None:
+            state, d = x.key
+            k = source.state_whole_levels(state, d)
+            kids, d = ([(k - 1, state)], d + k - 1) if k > 1 else (source.state_children(state, d), d + 1)
+            # Equal children at equal lengths merge into one run.  Lazy sources
+            # hand out one length object per level or per tree.
+            x.terms, x.runs, x.heap, run_of = [], [], [], {}
+            for ln, child in kids:
+                if ln is not last_len:
+                    if scale % ln.denominator:
+                        # Grow as the engine does; every stored integer follows.
+                        f = lcm(scale * scale, ln.denominator) // scale
+                        scale *= f
+                        for y in nodes.values():
+                            if y.runs:
+                                y.terms[:] = [t * f for t in y.terms]
+                                y.runs[:] = [(b * f, c, m) for b, c, m in y.runs]
+                                y.heap[:] = [(b * f, *rest) for b, *rest in y.heap]
+                    last_len, scaled = ln, ln.numerator * (scale // ln.denominator)
+                if (r := run_of.get((scaled, child))) is None:
+                    run_of[scaled, child] = len(x.runs)
+                    x.runs.append((scaled, nodes.get(key := (child, d)) or node(key), 1))
+                else:
+                    x.runs[r] = (scaled, x.runs[r][1], x.runs[r][2] + 1)
+            x.heap += [(0, 0, r, 0) for r in range(len(x.runs))]
+        # Heads (value or bound, pending, run, k): a value sorts before an equal bound.
+        terms, heap, runs, wait = x.terms, x.heap, x.runs, None
+        while len(terms) < want and heap:
+            b, pending, r, k = heap[0]
+            ln, c, m = runs[r]
+            if not pending:
+                terms += (b,) * m
+                k += 1
+            # The run's next head: the child's next term if known, else a bound.
+            if k < len(c.terms):
+                heapq.heapreplace(heap, (c.terms[k] + k * ln, 0, r, k))
+            elif c.heap == []:
+                heapq.heappop(heap)
+            elif not pending:
+                heapq.heapreplace(heap, (b + ln, 1, r, k))
+            else:
+                # Ask for the run's share of the terms owed; a lone run owes all.
+                wait = (c, k + max(1, -(-(want - len(terms)) // (m * len(heap)))))
+                break
+        if wait is None:
+            stack.pop()
+        elif len(stack) > DEFAULT_BUDGET:
+            raise DepthBudgetExceeded(f"expansion past depth {DEFAULT_BUDGET}")
+        else:
+            stack.append(wait)
+    if len(root.terms) < keep:
+        raise IndexOutOfRange(f"tree has N={len(root.terms)} terms, requested index {n_max}")
+    return root.terms[:keep], scale

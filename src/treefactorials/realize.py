@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .engine import OrderedTieBreak, factorials_weighting
 from .errors import Mismatch, NotBiased, StructureError
+from .sources import DEFAULT_BUDGET
 from .trees import INF, RootedTree, _denominator_lcm
 
 __all__ = [
@@ -192,12 +193,21 @@ def verify_roundtrip(seq: BiasedSequence, orders: OrderChoice | None = None) -> 
     tree = realize_lengths(seq, orders)
     generations = list(_processing_order(seq, orders))
     d = seq.d
-    n_max = 2 * d ** (seq.depth + 1)
     rank = {0: 0} | {v: r for _, order in generations for v, r in order}
-    run = factorials_weighting(tree, n_max, OrderedTieBreak(rank), record_trace=True)
+    # The run doubles its step count until every vertex of the table has its
+    # first visit or an emitted value passes the last target, past which no
+    # first visit can match, since values never decrease.
+    n_max, last_target = 2 * d ** (seq.depth + 1), seq.groups[-1][-1]
+    while True:
+        run = factorials_weighting(tree, n_max, OrderedTieBreak(rank), record_trace=True)
+        first_value: dict[int, Fraction] = {}
+        for step in run.trace:
+            first_value.setdefault(step.vertex, step.value)
+        if len(first_value) == len(tree) or run.trace[-1].value > last_target or n_max >= DEFAULT_BUDGET:
+            break
+        n_max = min(2 * n_max, DEFAULT_BUDGET)
 
     gen_of = tree.depths
-    first_value: dict[int, Fraction] = {}
     coherent = True
     last_gen = 0
     for step in run.trace:
@@ -205,8 +215,6 @@ def verify_roundtrip(seq: BiasedSequence, orders: OrderChoice | None = None) -> 
         if g < last_gen:
             coherent = False
         last_gen = max(last_gen, g)
-        if step.vertex not in first_value:
-            first_value[step.vertex] = step.value
 
     zeros = tuple(s.value for s in run.trace[:d] if s.vertex == 0)
     if len(zeros) != d or any(z != 0 for z in zeros):
@@ -218,7 +226,7 @@ def verify_roundtrip(seq: BiasedSequence, orders: OrderChoice | None = None) -> 
             if v not in first_value:
                 raise Mismatch(
                     f"generation {gen} vertex in position {i + 1} was never selected "
-                    f"within {n_max} steps",
+                    f"within {n_max} steps (at most {DEFAULT_BUDGET})",
                     index=index,
                 )
             actual, expected = first_value[v], seq.groups[gen][i]

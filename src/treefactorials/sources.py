@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import SimpleNamespace
 
 from .errors import DepthBudgetExceeded, ParseError, StructureError
 from .trees import INF, Capacity, RootedTree, _denominator_lcm, parse_length
@@ -22,7 +23,6 @@ __all__ = [
     "LambdaScaledSource",
     "AdelicSetSource",
     "expand",
-    "ExplicitView",
     "LazyView",
     "view_of",
     "parse_generator_spec",
@@ -55,10 +55,13 @@ class TreeSource:
 
     def length_scale(self) -> int | None:
         """A positive integer multiplying every edge length to an integer,
-        or None when no finite common denominator is known.  The weighting
-        engine starts its integer scale here; from None it starts at 1 and
-        grows as the run meets new denominators."""
+        or None when none is known.  The engine and the min-max start their
+        integer scale here, or at 1, and grow it as they meet denominators."""
         return None
+
+    def state_whole_levels(self, state, depth: int) -> int:
+        """A k >= 1: from `depth` on, for k - 1 levels, the state's one child is itself at length 1."""
+        return 1
 
 
 @dataclass(frozen=True)
@@ -94,16 +97,13 @@ class SphericalSource(TreeSource):
 
     def state_children(self, state, depth):
         k = depth % self._period
-        kids = self._levels.get(k)
-        if kids is None:
+        if (kids := self._levels.get(k)) is None:
             ln = self.lengths[k % len(self.lengths)]
             kids = self._levels[k] = ((ln, None),) * self.branching[k % len(self.branching)]
         return kids
 
     def state_capacity(self, state, depth):
-        if self._ends and depth % len(self.branching) in self._ends:
-            return 1
-        return None
+        return 1 if self._ends and depth % len(self.branching) in self._ends else None
 
     def length_scale(self):
         return _denominator_lcm(self.lengths)
@@ -153,9 +153,8 @@ class LambdaScaledSource(TreeSource):
         return self.base.state_capacity(state, depth)
 
     def length_scale(self):
-        # lam**k for every k has a single integer multiplier only when lam
-        # itself is an integer; otherwise the engine grows its scale level
-        # by level.
+        # Every lam**k has one integer multiplier only when lam is an integer;
+        # otherwise the engine grows its scale level by level.
         return 1 if self.lam.denominator == 1 else None
 
 
@@ -209,6 +208,16 @@ def _integer_set(elements) -> tuple[int, ...]:
     return tuple(sorted(elems))
 
 
+def _val(p: int, x: int) -> int:
+    """Exponent of p in x != 0."""
+    if x == 0:
+        raise StructureError("valuation of 0 requested; set elements must be distinct")
+    v, x = 0, abs(x)
+    while x % p == 0:
+        v, x = v + 1, x // p
+    return v
+
+
 def _require_prime(n: int) -> None:
     """StructureError unless n is a proven prime; for a prime that comes
     from outside the program (CLI --p, the adelic spec)."""
@@ -226,7 +235,8 @@ class AdelicSetSource(TreeSource):
     sequence is the p-adic valuation of the generalized factorials.  A class
     that shrinks to a single element at depth >= 1 becomes a capacity-1 leaf
     (its continuation is a bare path that never meets another element, so the
-    cut does not change any factorial term).
+    cut does not change any factorial term); all such leaves are one subtree,
+    with the state ().
     """
 
     elements: tuple[int, ...]
@@ -246,12 +256,15 @@ class AdelicSetSource(TreeSource):
         for s in state:
             groups.setdefault(s % mod, []).append(s)
         one = Fraction(1)
-        return [(one, tuple(groups[r])) for r in sorted(groups)]
+        return [(one, tuple(g) if len(g) > 1 else ()) for _, g in sorted(groups.items())]
 
     def state_capacity(self, state, depth):
-        if len(state) == 1 and depth >= 1:
-            return 1
-        return None
+        return None if state else 1
+
+    def state_whole_levels(self, state, depth):
+        # A class stays whole down to depth val_p(gcd of its differences).
+        g = gcd(*(s - state[0] for s in state))
+        return _val(self.p, g // self.p**depth) + 1 if g else 1
 
     def length_scale(self):
         return 1
@@ -284,8 +297,16 @@ def _dag(source: TreeSource | RootedTree, depth: int):
 
 
 def _unroll(dag) -> RootedTree:
-    """The tree a DAG of `_dag` stands for, numbered breadth first."""
+    """The tree a DAG of `_dag` stands for, numbered breadth first; past
+    DEFAULT_BUDGET vertices, DepthBudgetExceeded before any is built."""
     order, runs, caps = dag
+    # Root paths per node; breadth-first order lists a node after its parents.
+    paths = {order[0]: 1}
+    for node in order:
+        for _, child, m in runs[node]:
+            paths[child] = paths.get(child, 0) + m * paths[node]
+    if (size := sum(paths.values())) > DEFAULT_BUDGET:
+        raise DepthBudgetExceeded(f"the truncation has {size} vertices, past the budget of {DEFAULT_BUDGET}")
     parents, lengths, nodes = [-1], [None], [order[0]]
     for v, node in enumerate(nodes):
         for ln, child, m in runs[node]:
@@ -305,25 +326,6 @@ def expand(source: TreeSource, depth: int) -> RootedTree:
     return _unroll(_dag(source, depth))
 
 
-class ExplicitView:
-    """Engine-facing view of an explicit tree, keeping its node ids."""
-
-    def __init__(self, tree: RootedTree):
-        self.tree = tree
-
-    def children(self, v: int) -> tuple[int, ...]:
-        return self.tree.children[v]
-
-    def length(self, v: int) -> Fraction:
-        return self.tree.lengths[v]
-
-    def capacity(self, v: int) -> Capacity | None:
-        return self.tree.capacities[v]
-
-    def length_scale(self) -> int:
-        return self.tree.length_scale()
-
-
 class LazyView:
     """Engine-facing view that materializes a source on demand.
 
@@ -333,16 +335,12 @@ class LazyView:
     """
 
     def __init__(self, source: TreeSource, budget: int = DEFAULT_BUDGET):
-        self.source = source
-        self.budget = budget
-        self._lengths: list[Fraction | None] = [None]
-        self._depths: list[int] = [0]
-        self._states: list[object] = [source.root_state()]
+        self.source, self.budget = source, budget
+        self._lengths, self._depths, self._states = [None], [0], [source.root_state()]
         self._children: dict[int, tuple[int, ...]] = {}
 
     def children(self, v: int) -> tuple[int, ...]:
-        got = self._children.get(v)
-        if got is not None:
+        if (got := self._children.get(v)) is not None:
             return got
         d = self._depths[v]
         state = self._states[v]
@@ -372,9 +370,11 @@ class LazyView:
 
 
 def view_of(source_or_tree, budget: int = DEFAULT_BUDGET):
-    """Explicit inputs keep their ids; generated ones get a lazy view."""
-    if isinstance(source_or_tree, RootedTree):
-        return ExplicitView(source_or_tree)
+    """The engine's view: children, length and capacity by vertex id, and
+    length_scale.  Explicit inputs keep their ids; generated ones go lazy."""
+    if isinstance(tree := source_or_tree, RootedTree):
+        return SimpleNamespace(children=tree.children.__getitem__, length=tree.lengths.__getitem__,
+                               capacity=tree.capacities.__getitem__, length_scale=tree.length_scale)
     return LazyView(source_or_tree, budget)
 
 
@@ -409,26 +409,17 @@ def level_branching(source: TreeSource, depth: int) -> list[int] | None:
 
 def _split_fields(text: str) -> list[str]:
     """Split on whitespace but keep parenthesized groups together."""
-    out: list[str] = []
-    buf: list[str] = []
-    level = 0
-    for ch in text:
-        if ch == "(":
-            level += 1
-        elif ch == ")":
-            level -= 1
-            if level < 0:
-                raise ParseError("unbalanced ')' in generator spec")
-        if ch.isspace() and level == 0:
-            if buf:
-                out.append("".join(buf))
-                buf = []
-        else:
-            buf.append(ch)
-    if level != 0:
+    out, start, level = [], 0, 0
+    for i, ch in enumerate(text + " "):
+        level += (ch == "(") - (ch == ")")
+        if level < 0:
+            raise ParseError("unbalanced ')' in generator spec")
+        if ch.isspace() and not level:
+            if i > start:
+                out.append(text[start:i])
+            start = i + 1
+    if level:
         raise ParseError("unbalanced '(' in generator spec")
-    if buf:
-        out.append("".join(buf))
     return out
 
 

@@ -10,6 +10,7 @@ positive integers or math.inf.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -135,6 +136,9 @@ class RootedTree:
     def state_capacity(self, state: int, depth: int) -> Capacity | None:
         return self.capacities[state]
 
+    def state_whole_levels(self, state: int, depth: int) -> int:
+        return 1
+
     def length_scale(self) -> int:
         return _denominator_lcm(self.lengths[1:])
 
@@ -161,18 +165,58 @@ class RootedTree:
         return cls(parents, tuple(lens), tuple(caps))
 
 
+# Digits converted at once between ints and strings: below 640, the smallest
+# int-string digit cap the interpreter accepts, so values of any length
+# convert under any cap without the process-wide setting being changed.
+_PIECE_DIGITS = 600
+_PIECE_BITS = 1993  # an int below 2**1993 has at most 600 digits
+_INT = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")
+
+
+def _int_str(n: int) -> str:
+    """str(n) for an int of any size, in pieces."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= _PIECE_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of its digits
+    hi, lo = divmod(n, 10**k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
+
+def _str_int(text: str) -> int:
+    """int(text) for a decimal integer of any length, in pieces; ValueError
+    on what int() would reject."""
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    m = _INT.fullmatch(text)
+    if m is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    digits = m.group(2).replace("_", "")
+
+    def read(lo: int, hi: int) -> int:
+        if hi - lo <= _PIECE_DIGITS:
+            return int(digits[lo:hi])
+        mid = (lo + hi) // 2
+        return read(lo, mid) * 10 ** (hi - mid) + read(mid, hi)
+
+    value = read(0, len(digits))
+    return -value if m.group(1) == "-" else value
+
+
 def parse_length(text: str) -> Fraction:
     """Parse <num>[/<den>] into a Fraction. Raises ValueError on junk and on n/0."""
     if "/" in text:
         num, _, den = text.partition("/")
-        if int(den) == 0:
+        if (d := _str_int(den)) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(_str_int(num), d)
+    return Fraction(_str_int(text))
 
 
 def format_length(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = _int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
 
 
 def _float(x: Fraction) -> float:
@@ -193,7 +237,7 @@ def _content_lines(text: str):
 def _parse_capacity(text: str) -> Capacity:
     if text == "inf":
         return INF
-    value = int(text)
+    value = _str_int(text)
     if value < 1:
         raise ValueError("capacity must be >= 1")
     return value
@@ -275,7 +319,7 @@ def serialize_tree(tree: RootedTree) -> str:
             parts = [f"node {v} parent={tree.parents[v]}", f"length={format_length(tree.lengths[v])}"]
         cap = tree.capacities[v]
         if cap is not None:
-            parts.append("capacity=inf" if cap == INF else f"capacity={cap}")
+            parts.append("capacity=inf" if cap == INF else f"capacity={_int_str(cap)}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

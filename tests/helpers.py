@@ -13,6 +13,7 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from treefactorials import INF, RootedTree
+from treefactorials.sources import TreeSource
 from treefactorials.trees import format_length
 
 LENGTHS3 = (Fraction(1), Fraction(3, 2), Fraction(2))
@@ -47,6 +48,20 @@ def binary_tree(depth: int, cap=INF) -> RootedTree:
 
 def two_leaf_star(l1=1, l2=1, c1=INF, c2=INF) -> RootedTree:
     return star([l1, l2], [c1, c2])
+
+
+class FibonacciSource(TreeSource):
+    """A source whose state DAG shares nodes between different parents:
+    state "a" has children "a" and "b", state "b" one child "a"."""
+
+    def root_state(self):
+        return "a"
+
+    def state_children(self, state, depth):
+        return [(Fraction(1), "a"), (Fraction(2), "b")] if state == "a" else [(Fraction(1, 2), "a")]
+
+    def state_capacity(self, state, depth):
+        return None
 
 
 def prepend_root_edge(tree: RootedTree, length) -> RootedTree:

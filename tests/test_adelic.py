@@ -176,15 +176,14 @@ class TestFactorialsPrime:
 
 
 def weighting_reference(elements, q, n_max):
-    """e_q by the engine route the residue merge replaced: a weighting run
-    on the lazy residue tree."""
+    """e_q by the engine route: a weighting run on the lazy residue tree."""
     source = AdelicSetSource(tuple(sorted(elements)), q)
     return factorials_weighting(source, n_max).sequence.values
 
 
 class TestResidueMerge:
-    """factorials_prime merges residue classes; the weighting run on
-    AdelicSetSource is the reference."""
+    """factorials_prime is the min-max on the residue tree; the weighting run
+    on AdelicSetSource is the reference."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_weighting_run(self, seed):
@@ -223,6 +222,12 @@ class TestResidueMerge:
     def test_long_chain(self):
         with helpers.deadline(2):
             assert factorials_prime((0, 2**3000), 2, 1).values == (0, 3000)
+
+    def test_chain_costs_one_gcd(self):
+        # 20,000 whole levels above one split: walked a level at a time they
+        # took 3.5 s, as one gcd 0.11 s.
+        with helpers.deadline(1):
+            assert factorials_prime((0, 2**20000), 2, 1).values == (0, 20000)
 
     def test_one_split_per_level(self):
         s = (0,) + tuple(2**k for k in range(300))

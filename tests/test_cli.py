@@ -289,6 +289,14 @@ class TestFlow:
             code, _, _ = run_cli("flow", "--gen", "regular d=2", "--depth", "4", *extra)
             assert code == 0 and [depth for _, depth in walks] == [4] and len(unrolls) == want
 
+    @pytest.mark.parametrize("extra", [("--csv",), ("--trials", "10")], ids=["csv", "trials"])
+    def test_vertex_budget_refuses_a_huge_truncation(self, extra):
+        # 2**31 - 1 vertices: refused from the DAG's counts, before any is built.
+        with helpers.deadline(2):
+            code, out, err = run_cli("flow", "--gen", "regular d=2", "--depth", "30", *extra)
+        assert (code, out) == (1, "")
+        assert err == "DepthBudgetExceeded: the truncation has 2147483647 vertices, past the budget of 1000000\n"
+
     def test_deep_binary_report_is_fast(self):
         with helpers.deadline(2):
             code, out, err = run_cli("flow", "--gen", "regular d=2", "--depth", "64")
@@ -609,6 +617,19 @@ class TestRealize:
         want = (1, "", "Mismatch: generation 2, position 1: first visit at 380, wanted 344\n")
         assert run_cli("realize", "--d", "2", "--seq", path) == want
         assert run_cli("realize", "--d", "2", "--seq", path, "--verify") == want
+
+    @pytest.mark.parametrize("d, rows", [
+        (2, ["0,1,0", "0,2,0", "1,1,1", "1,2,1000"]),
+        (3, ["0,1,0", "0,2,0", "0,3,0", "1,1,1", "1,2,2", "1,3,1000"]),
+    ])
+    def test_late_first_visit_is_within_the_step_budget(self, tmp_path, d, rows):
+        # The last vertex is first visited after about 1000 steps, far past
+        # 2 * d**(depth + 1); the run goes on until it is.
+        code, out, err = run_cli("realize", "--d", str(d), "--seq", self.seq_file(tmp_path, rows), "--verify")
+        assert (code, err) == (0, "")
+        tree = parse_tree_file("\n".join(l for l in out.splitlines() if not l.startswith("#")))
+        assert tree.lengths[1:] == tuple(Fraction(r.split(",")[2]) for r in rows[d:])
+        assert "# roundtrip: first visits match" in out
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

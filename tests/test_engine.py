@@ -14,6 +14,7 @@ from treefactorials import (
     INF,
     AdelicSetSource,
     Canonical,
+    DepthBudgetExceeded,
     Exhausted,
     IndexOutOfRange,
     LambdaScaledSource,
@@ -24,14 +25,16 @@ from treefactorials import (
     SphericalSource,
     StructureError,
     capacity_bound,
+    engine,
     equidistribution_check,
+    expand,
     factorials_greedy_oracle,
     factorials_minmax,
     factorials_removed,
     factorials_weighting,
     unit_current_flow,
 )
-from treefactorials.sources import LazyView
+from treefactorials.sources import LazyView, TreeSource
 
 F = Fraction
 
@@ -526,3 +529,90 @@ class TestRaySource:
     )
     def test_unary_levels_that_end_or_branch_are_not_rays(self, src, values):
         assert weighting_values(src, 2) == values
+
+    @pytest.mark.parametrize("src", RAYS)
+    def test_minmax_on_a_ray_fails_fast(self, src):
+        with helpers.deadline(1):
+            with pytest.raises(StructureError, match="single infinite ray has no finite a_1"):
+                factorials_minmax(src, 3)
+            assert factorials_minmax(src, 0).values == (0,)
+
+
+class TwoRays(TreeSource):
+    """A root with two children, each the start of an infinite path: no
+    spherical source, so only the depth budget stops a walk for a_2."""
+
+    def root_state(self):
+        return "root"
+
+    def state_children(self, state, depth):
+        return [(F(1), "ray")] * (2 if state == "root" else 1)
+
+    def state_capacity(self, state, depth):
+        return None
+
+
+class TestMinmaxOnSources:
+    """factorials_minmax walks explicit trees and generated sources alike,
+    one (state, depth) node at a time; the engine is the reference."""
+
+    SOURCES = (
+        RegularSource(2),
+        RegularSource(3),
+        SphericalSource((2, 3), (F(1, 2), F(2, 3))),
+        SphericalSource((3, 2, 0)),
+        SphericalSource((1, 2), (F(1), F(5, 2))),
+        LambdaScaledSource(RegularSource(2), F(3, 2)),
+        LambdaScaledSource(RegularSource(2), F(1, 2)),
+        LambdaScaledSource(SphericalSource((3, 1, 2)), F(2, 3)),
+        AdelicSetSource(tuple(range(0, 60, 3)), 6),
+        AdelicSetSource((5, 17, 41, 65, 89, 113, 1000, 1024, 4096), 12),
+        AdelicSetSource(tuple(7 + 4**9 * x for x in (0, 1, 3, 4, 9, 12)), 4),
+        helpers.FibonacciSource(),
+    )
+
+    @pytest.mark.parametrize("src", SOURCES)
+    def test_matches_weighting(self, src):
+        want = weighting_values(src, 300)
+        assert factorials_minmax(src, len(want) - 1).values == want
+
+    def test_matches_weighting_on_seeded_trees(self):
+        rng = random.Random(21)
+        lengths = (F(1), F(1, 2), F(2, 3), F(5, 4), F(3))
+        for _ in range(60):
+            t = helpers.random_tree(rng, max_edges=25, lengths=lengths)
+            want = weighting_values(t, 40)
+            assert factorials_minmax(t, len(want) - 1).values == want
+
+    def test_binary_tree_gives_legendre(self):
+        n = 10**5
+        with helpers.deadline(2):
+            values = factorials_minmax(RegularSource(2), n).values
+        assert values[-1] == n - bin(n).count("1")
+        assert all(v == k - bin(k).count("1") for k, v in enumerate(values))
+
+    def test_deep_expansion_is_fast(self):
+        tree = expand(RegularSource(2), 11)
+        with helpers.deadline(2):
+            values = factorials_minmax(tree, 1000).values
+        assert values == weighting_values(tree, 1000)
+
+    def test_halving_chain_of_3000_levels(self):
+        src = LambdaScaledSource(AdelicSetSource((0, 2**3000), 2), F(1, 2))
+        with helpers.deadline(2):
+            assert factorials_minmax(src, 1).values == (0, 2 - F(1, 2**2999))
+
+    def test_finite_source_past_its_terms(self):
+        with pytest.raises(IndexOutOfRange, match="^tree has N=6 terms, requested index 6$"):
+            factorials_minmax(SphericalSource((3, 2, 0)), 6)
+        assert factorials_minmax(SphericalSource((1,) * 50 + (0,)), 0).values == (0,)
+
+    def test_walk_past_the_depth_budget(self, monkeypatch):
+        monkeypatch.setattr(engine, "DEFAULT_BUDGET", 50)
+        assert factorials_minmax(TwoRays(), 1).values == (0, 0)
+        with pytest.raises(DepthBudgetExceeded):
+            factorials_minmax(TwoRays(), 2)
+
+    def test_greedy_oracle_needs_an_explicit_tree(self):
+        with pytest.raises(StructureError, match="greedy oracle needs an explicit tree"):
+            factorials_greedy_oracle(RegularSource(2), 5)

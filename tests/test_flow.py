@@ -33,23 +33,7 @@ from treefactorials import (
     unit_current_flow,
 )
 
-from treefactorials.sources import TreeSource
-
 F = Fraction
-
-
-class FibonacciSource(TreeSource):
-    """A source whose state DAG shares nodes between different parents:
-    state "a" has children "a" and "b", state "b" one child "a"."""
-
-    def root_state(self):
-        return "a"
-
-    def state_children(self, state, depth):
-        return [(F(1), "a"), (F(2), "b")] if state == "a" else [(F(1, 2), "a")]
-
-    def state_capacity(self, state, depth):
-        return None
 
 
 class TestEffectiveResistance:
@@ -118,7 +102,7 @@ class TestPerDepthSweep:
         SphericalSource((3, 1), (F(1, 3), F(2))),
         LambdaScaledSource(RegularSource(2), F(3, 2)),
         AdelicSetSource((0, 1, 3, 4, 9, 12, 20), 2),
-        FibonacciSource(),
+        helpers.FibonacciSource(),
     )
 
     @staticmethod
@@ -158,7 +142,7 @@ class TestPerDepthSweep:
     def test_lazy_sources(self):
         for src in self.LAZY:
             assert self.check(src, 4) == 4
-        assert self.check(FibonacciSource(), 7) == 7
+        assert self.check(helpers.FibonacciSource(), 7) == 7
 
     def test_only_the_walk_expands(self, monkeypatch):
         # Each query walks its source once; the Monte Carlo walk unrolls the

@@ -26,6 +26,7 @@ from treefactorials import (
     parse_generator_spec,
     unit_current_flow,
 )
+from treefactorials import sources
 from treefactorials.errors import DepthBudgetExceeded
 from treefactorials.sources import TreeSource, _dag, _is_ray, level_branching
 
@@ -298,3 +299,17 @@ def test_finite_lazy_path_within_budget():
     run = factorials_weighting(SphericalSource((1,) * 50 + (0,)), 5, budget=100)
     # capacity-1 end: the sequence stops after a_0
     assert run.sequence.values == (0,)
+
+
+def test_expand_refuses_more_vertices_than_the_budget(monkeypatch):
+    # The count comes from the DAG's run multiplicities before any vertex is
+    # built; a DAG node reached by several paths counts once per path.
+    monkeypatch.setattr(sources, "DEFAULT_BUDGET", 15)
+    assert len(expand(RegularSource(2), 3)) == 15
+    with pytest.raises(DepthBudgetExceeded, match="^the truncation has 31 vertices, past the budget of 15$"):
+        expand(RegularSource(2), 4)
+    monkeypatch.setattr(sources, "DEFAULT_BUDGET", 11)
+    fib = helpers.FibonacciSource()
+    assert len(expand(fib, 3)) == 11
+    with pytest.raises(DepthBudgetExceeded, match="has 19 vertices"):
+        expand(fib, 4)

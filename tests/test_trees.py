@@ -216,3 +216,27 @@ def test_zero_denominator_length_is_a_parse_error():
     with pytest.raises(ParseError, match="bad length") as e:
         parse_tree_file("node 0 parent=-\nnode 1 parent=0 length=1/0\n")
     assert e.value.line == 2
+
+
+class TestDigitCap:
+    """Values past the interpreter's 4,300-digit int-string cap convert in
+    full, with the cap left as it is."""
+
+    BIG = "1" + "0" * 4999 + "1"  # 10**5000 + 1
+
+    def test_format_and_parse_past_the_cap(self):
+        assert format_length(Fraction(10**5000 + 1, 3)) == self.BIG + "/3"
+        assert parse_length("1" * 5000) == Fraction((10**5000 - 1) // 9)
+        assert parse_length(f"-{self.BIG}/7") == Fraction(-(10**5000 + 1), 7)
+        assert format_length(-Fraction(10**5000 + 1)) == "-" + self.BIG
+
+    def test_tree_file_round_trip_past_the_cap(self):
+        text = f"node 0 parent=-\nnode 1 parent=0 length={self.BIG}/3 capacity={self.BIG}\n"
+        tree = parse_tree_file(text)
+        assert tree.lengths[1] == Fraction(10**5000 + 1, 3) and tree.capacities[1] == 10**5000 + 1
+        assert serialize_tree(tree) == text
+
+    @pytest.mark.parametrize("text", ["1" * 5000 + "x", "1_" * 3000, "--" + "1" * 5000, "1" * 5000 + "/0"])
+    def test_malformed_long_value_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_length(text)
