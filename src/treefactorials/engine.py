@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from . import sources
 from .errors import DepthBudgetExceeded, Exhausted, IndexOutOfRange, StructureError
 from .sequences import FactorialSequence
-from .sources import DEFAULT_BUDGET, _is_ray, view_of
 from .trees import INF, RootedTree
 
 __all__ = [
@@ -85,12 +85,13 @@ class TraceStep:
 
 @dataclass
 class WeightingRun:
-    """Everything a weighting run produced: terms, trace, final edge weights."""
+    """Everything a weighting run produced: terms, trace, final edge weights,
+    and the children ids of the root and of every weighted vertex."""
 
     sequence: FactorialSequence
     trace: tuple[TraceStep, ...] | None
     weights: dict[int, int]  # child id -> weight of its parent edge
-    view: object
+    children: dict[int, tuple[int, ...]]
 
     @property
     def steps(self) -> int:
@@ -100,12 +101,18 @@ class WeightingRun:
 _RAY = "a single infinite ray has no finite a_1: its only path never branches or ends"
 
 
-def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error=False) -> WeightingRun:
+def _grown(scale: int, den: int) -> int:
+    """The scale that also covers den**2: a new prime adds its square, and
+    powers of one prime double their exponent, so a walk grows O(log depth) times."""
+    return lcm(scale, den * den)
+
+
+def _run_weighting(source, n_max, policy, t, record_trace, exhaust_error=False) -> WeightingRun:
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
     if t < 0:
         raise StructureError("t must be >= 0")
-    view = view_of(source, budget)
+    view = sources.view_of(source)
     policy = policy or Canonical()
     # The run keeps lengths, scores and values as integers times `scale`,
     # which turns every weighted edge's length into an integer, and returns
@@ -123,15 +130,16 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
             raise Exhausted(f"all boundary elements at capacity after {len(values)} terms")
         label = "weighting" if t == 0 else f"weighting-removed(t={t})"
         seq = FactorialSequence(tuple(Fraction(v, scale) for v in values), label)
-        return WeightingRun(seq, tuple(trace) if record_trace else None, weights, view)
+        return WeightingRun(seq, tuple(trace) if record_trace else None, weights, children_of)
 
     root_kids = view.children(0)
+    children_of = {0: root_kids}
     values.append(0)
     if record_trace:
         trace.append(TraceStep(0, 0, "init", Fraction(0)))
     if n_max == 0:
         return finish()
-    if _is_ray(source):
+    if sources._is_ray(source):
         raise StructureError(_RAY)
 
     # Hierarchical argmin over lists indexed by node id.  A vertex enters
@@ -175,10 +183,9 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
     room[0] = len(root_kids) if root_kids else view.capacity(0) - 1
 
     def grow(den: int):
-        """Make `scale` a multiple of den and at least its own square, so a
-        run rescales O(log depth) times, and rescale every stored integer."""
+        """Grow `scale` to a multiple of den and rescale every stored integer."""
         nonlocal scale
-        new = lcm(scale * scale, den)
+        new = _grown(scale, den)
         f = new // scale
         scale = new
         elen[:] = [e if e is None else e * f for e in elen]
@@ -281,41 +288,28 @@ def _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error
             trace.append(TraceStep(n, x, case, value))
     for v in weights:
         weights[v] = wt[v]
+        children_of[v] = kids[v]
     return finish()
 
 
-def factorials_weighting(
-    source,
-    n_max: int,
-    policy=None,
-    *,
-    record_trace: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> WeightingRun:
+def factorials_weighting(source, n_max: int, policy=None, *, record_trace: bool = False) -> WeightingRun:
     """Run the weighting process; returns terms a_0..a_min(n_max, N-1).
 
     `source` is a RootedTree or any TreeSource; lazily generated trees are
-    materialized only as far as the process reaches, guarded by `budget`.
+    materialized only as far as the process reaches, at most
+    sources.DEFAULT_BUDGET levels deep.
     """
-    return _run_weighting(source, n_max, policy, 0, record_trace, budget)
+    return _run_weighting(source, n_max, policy, 0, record_trace)
 
 
-def factorials_removed(
-    source,
-    t: int,
-    n_max: int,
-    policy=None,
-    *,
-    record_trace: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> WeightingRun:
+def factorials_removed(source, t: int, n_max: int, policy=None, *, record_trace: bool = False) -> WeightingRun:
     """t-removed variant: each candidate's score drops its t largest pairing
     terms, so the first t+1 terms are 0.  t=0 is the plain process.
 
     Unlike factorials_weighting this raises Exhausted when the boundary
     saturates before n_max terms, matching the greedy formulation it
     mirrors."""
-    return _run_weighting(source, n_max, policy, t, record_trace, budget, exhaust_error=True)
+    return _run_weighting(source, n_max, policy, t, record_trace, exhaust_error=True)
 
 
 def capacity_bound(tree: RootedTree):
@@ -390,7 +384,7 @@ def factorials_minmax(source, n_max: int) -> FactorialSequence:
     starts at a_0 = 0, a consumed head b gives way to the bound b + length,
     and a child's next term is pulled only when its bound is the least head.
     Independent of the weighting engine.  Raises IndexOutOfRange when
-    n_max >= N, DepthBudgetExceeded past DEFAULT_BUDGET levels.
+    n_max >= N, DepthBudgetExceeded past sources.DEFAULT_BUDGET levels.
     """
     terms, scale = _minmax(source, n_max)
     return FactorialSequence(tuple(Fraction(v, scale) for v in terms), "minmax")
@@ -400,7 +394,7 @@ def _minmax(source, n_max: int) -> tuple[list[int], int]:
     """The terms of factorials_minmax times a scale, and the scale."""
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
-    if n_max and _is_ray(source):
+    if n_max and sources._is_ray(source):
         raise StructureError(_RAY)
     keep, scale, zeros = n_max + 1, source.length_scale() or 1, (0,) * (n_max + 1)
     nodes: dict = {}  # (state, depth) -> its node; a leaf's is complete when made
@@ -427,7 +421,7 @@ def _minmax(source, n_max: int) -> tuple[list[int], int]:
                 if ln is not last_len:
                     if scale % ln.denominator:
                         # Grow as the engine does; every stored integer follows.
-                        f = lcm(scale * scale, ln.denominator) // scale
+                        f = _grown(scale, ln.denominator) // scale
                         scale *= f
                         for y in nodes.values():
                             if y.runs:
@@ -462,8 +456,8 @@ def _minmax(source, n_max: int) -> tuple[list[int], int]:
                 break
         if wait is None:
             stack.pop()
-        elif len(stack) > DEFAULT_BUDGET:
-            raise DepthBudgetExceeded(f"expansion past depth {DEFAULT_BUDGET}")
+        elif len(stack) > sources.DEFAULT_BUDGET:
+            raise DepthBudgetExceeded(f"expansion past depth {sources.DEFAULT_BUDGET}")
         else:
             stack.append(wait)
     if len(root.terms) < keep:

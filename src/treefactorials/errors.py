@@ -42,7 +42,7 @@ class StructureError(TreeFactorialError):
 
 
 class DepthBudgetExceeded(TreeFactorialError):
-    """Lazy expansion ran past the safety budget; raise the budget to go deeper."""
+    """A walk ran past sources.DEFAULT_BUDGET levels, or a truncation past as many vertices."""
 
 
 class Exhausted(TreeFactorialError):

@@ -233,19 +233,21 @@ def equidistribution_check(
     the branch at v; the flow is its harmonic limit.  An edge leaving the
     run's weighted subtree has weight 0.
     """
-    tree, view, weights = flow.tree, run.view, run.weights
+    tree, children, weights = flow.tree, run.children, run.weights
     # Flow-tree vertex -> weighted run vertex (or the root), parents first.
     at = {0: 0}
     for v, kids in enumerate(tree.children):
         if v in at:
-            at.update((c, u) for c, u in zip(kids, view.children(at[v])) if u in weights)
+            at.update((c, u) for c, u in zip(kids, children[at[v]]) if u in weights)
     addr_of, n = tree.addresses, run.steps
     rows = tuple(
         (addr_of[v], Fraction(weights[at[v]], n) if v in at else _ZERO, f)
         for v, f in sorted(flow.flows.items(), key=lambda item: addr_of[item[0]])
         if len(addr_of[v]) <= max_depth
     )
-    worst = max((abs(w - f) for _, w, f in rows), default=_ZERO)
+    # Rounding to float is monotone, so deviations meet in an exact (and, at
+    # tens of thousands of digits, slow) comparison only on a float tie.
+    worst = max((abs(w - f) for _, w, f in rows), key=lambda x: (_float(x), x), default=_ZERO)
     return EquidistributionReport(max_depth, run.steps, rows, worst)
 
 
@@ -279,20 +281,18 @@ def exact_escape_probability(source: TreeSource | RootedTree, depth: int) -> Fra
 _MAX_STEPS = 10**6
 
 
-def random_walk_escape(
-    source: TreeSource | RootedTree, depth: int, trials: int, seed: int, max_steps: int = _MAX_STEPS
-) -> WalkResult:
+def random_walk_escape(source: TreeSource | RootedTree, depth: int, trials: int, seed: int) -> WalkResult:
     """Monte Carlo estimate of the escape probability.
 
     Each trial walks from the root, stepping to a neighbor with probability
     proportional to the conductance (1/length) of the joining edge, until it
     either reaches a grounded leaf (escape) or re-enters the root (failure).
-    Trials exceeding max_steps count as failures and are tallied.
+    Trials exceeding _MAX_STEPS steps count as failures and are tallied.
     """
-    return _walk(unit_current_flow(source, depth).tree, trials, seed, max_steps)
+    return _walk(unit_current_flow(source, depth).tree, trials, seed)
 
 
-def _walk(tree: RootedTree, trials: int, seed: int, max_steps: int = _MAX_STEPS) -> WalkResult:
+def _walk(tree: RootedTree, trials: int, seed: int) -> WalkResult:
     """random_walk_escape on an already grounded truncation."""
     if trials < 1:
         raise StructureError("trials must be >= 1")
@@ -312,7 +312,7 @@ def _walk(tree: RootedTree, trials: int, seed: int, max_steps: int = _MAX_STEPS)
     escaped = timeouts = 0
     for _ in range(trials):
         v = 0
-        for _ in range(max_steps):
+        for _ in range(_MAX_STEPS):
             acc = cumulative[v]
             u = rng.random() * acc[-1]
             v = neighbors[v][bisect_right(acc, u, 0, len(acc) - 1)]

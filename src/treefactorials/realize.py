@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import sources
 from .engine import OrderedTieBreak, factorials_weighting
 from .errors import Mismatch, NotBiased, StructureError
-from .sources import DEFAULT_BUDGET
 from .trees import INF, RootedTree, _denominator_lcm
 
 __all__ = [
@@ -197,15 +197,15 @@ def verify_roundtrip(seq: BiasedSequence, orders: OrderChoice | None = None) -> 
     # The run doubles its step count until every vertex of the table has its
     # first visit or an emitted value passes the last target, past which no
     # first visit can match, since values never decrease.
-    n_max, last_target = 2 * d ** (seq.depth + 1), seq.groups[-1][-1]
+    n_max, last_target, limit = 2 * d ** (seq.depth + 1), seq.groups[-1][-1], sources.DEFAULT_BUDGET
     while True:
         run = factorials_weighting(tree, n_max, OrderedTieBreak(rank), record_trace=True)
         first_value: dict[int, Fraction] = {}
         for step in run.trace:
             first_value.setdefault(step.vertex, step.value)
-        if len(first_value) == len(tree) or run.trace[-1].value > last_target or n_max >= DEFAULT_BUDGET:
+        if len(first_value) == len(tree) or run.trace[-1].value > last_target or n_max >= limit:
             break
-        n_max = min(2 * n_max, DEFAULT_BUDGET)
+        n_max = min(2 * n_max, limit)
 
     gen_of = tree.depths
     coherent = True
@@ -226,7 +226,7 @@ def verify_roundtrip(seq: BiasedSequence, orders: OrderChoice | None = None) -> 
             if v not in first_value:
                 raise Mismatch(
                     f"generation {gen} vertex in position {i + 1} was never selected "
-                    f"within {n_max} steps (at most {DEFAULT_BUDGET})",
+                    f"within {n_max} steps (at most {limit})",
                     index=index,
                 )
             actual, expected = first_value[v], seq.groups[gen][i]

@@ -329,35 +329,29 @@ def expand(source: TreeSource, depth: int) -> RootedTree:
 class LazyView:
     """Engine-facing view that materializes a source on demand.
 
-    Node ids are assigned in materialization order (so parent < child).
-    Asking for children past the depth budget raises DepthBudgetExceeded
-    rather than looping forever.
+    Node ids are assigned in materialization order (so parent < child), and
+    each vertex's children are materialized once, on the one call that asks
+    for them.  Asking for children past DEFAULT_BUDGET levels raises
+    DepthBudgetExceeded rather than looping forever.
     """
 
-    def __init__(self, source: TreeSource, budget: int = DEFAULT_BUDGET):
-        self.source, self.budget = source, budget
+    def __init__(self, source: TreeSource):
+        self.source = source
         self._lengths, self._depths, self._states = [None], [0], [source.root_state()]
-        self._children: dict[int, tuple[int, ...]] = {}
 
     def children(self, v: int) -> tuple[int, ...]:
-        if (got := self._children.get(v)) is not None:
-            return got
         d = self._depths[v]
         state = self._states[v]
         if self.source.state_capacity(state, d) is not None:
-            kids: tuple[int, ...] = ()
-        else:
-            if d >= self.budget:
-                raise DepthBudgetExceeded(f"expansion past depth {self.budget}")
-            ids = []
-            for ln, child_state in self.source.state_children(state, d):
-                ids.append(len(self._depths))
-                self._lengths.append(ln)
-                self._depths.append(d + 1)
-                self._states.append(child_state)
-            kids = tuple(ids)
-        self._children[v] = kids
-        return kids
+            return ()
+        if d >= DEFAULT_BUDGET:
+            raise DepthBudgetExceeded(f"expansion past depth {DEFAULT_BUDGET}")
+        start = len(self._depths)
+        for ln, child_state in self.source.state_children(state, d):
+            self._lengths.append(ln)
+            self._depths.append(d + 1)
+            self._states.append(child_state)
+        return tuple(range(start, len(self._depths)))
 
     def length(self, v: int) -> Fraction:
         return self._lengths[v]
@@ -369,13 +363,13 @@ class LazyView:
         return self.source.length_scale()
 
 
-def view_of(source_or_tree, budget: int = DEFAULT_BUDGET):
+def view_of(source_or_tree):
     """The engine's view: children, length and capacity by vertex id, and
     length_scale.  Explicit inputs keep their ids; generated ones go lazy."""
     if isinstance(tree := source_or_tree, RootedTree):
         return SimpleNamespace(children=tree.children.__getitem__, length=tree.lengths.__getitem__,
                                capacity=tree.capacities.__getitem__, length_scale=tree.length_scale)
-    return LazyView(source_or_tree, budget)
+    return LazyView(source_or_tree)
 
 
 def _spherical_base(source):

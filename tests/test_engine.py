@@ -25,7 +25,6 @@ from treefactorials import (
     SphericalSource,
     StructureError,
     capacity_bound,
-    engine,
     equidistribution_check,
     expand,
     factorials_greedy_oracle,
@@ -34,6 +33,7 @@ from treefactorials import (
     factorials_weighting,
     unit_current_flow,
 )
+from treefactorials import sources
 from treefactorials.sources import LazyView, TreeSource
 
 F = Fraction
@@ -374,8 +374,10 @@ class TestTieBreakPolicies:
         n = 2**12
         run = factorials_weighting(RegularSource(2), n)
         assert list(run.sequence.values) == [k - bin(k).count("1") for k in range(n + 1)]
-        # the root's children, then each weighted vertex's children once
+        # the root's children, then each weighted vertex's children once:
+        # the view has no memo, so a second call would number them again
         assert len(calls) <= len(run.weights) + 1
+        assert len({v for _, v in calls}) == len(calls)
 
     def test_ordered_tie_break_follows_rank(self):
         t = helpers.star([1, 1, 1], [INF, INF, INF])
@@ -552,6 +554,20 @@ class TwoRays(TreeSource):
         return None
 
 
+class NewPrimeLengths(TreeSource):
+    """A path that branches in two at every 8th level, with length 1/(k+2)
+    at level k: nearly every level brings a new prime denominator."""
+
+    def root_state(self):
+        return None
+
+    def state_children(self, state, depth):
+        return [(F(1, depth + 2), None)] * (2 if depth % 8 == 0 else 1)
+
+    def state_capacity(self, state, depth):
+        return None
+
+
 class TestMinmaxOnSources:
     """factorials_minmax walks explicit trees and generated sources alike,
     one (state, depth) node at a time; the engine is the reference."""
@@ -602,13 +618,20 @@ class TestMinmaxOnSources:
         with helpers.deadline(2):
             assert factorials_minmax(src, 1).values == (0, 2 - F(1, 2**2999))
 
+    def test_new_denominators_grow_the_scale_by_their_squares(self):
+        # Squaring the scale at each new prime would give it hundreds of
+        # thousands of bits by n = 128; the values need under 80.
+        with helpers.deadline(1):
+            want = weighting_values(NewPrimeLengths(), 128)
+            assert factorials_minmax(NewPrimeLengths(), 128).values == want
+
     def test_finite_source_past_its_terms(self):
         with pytest.raises(IndexOutOfRange, match="^tree has N=6 terms, requested index 6$"):
             factorials_minmax(SphericalSource((3, 2, 0)), 6)
         assert factorials_minmax(SphericalSource((1,) * 50 + (0,)), 0).values == (0,)
 
     def test_walk_past_the_depth_budget(self, monkeypatch):
-        monkeypatch.setattr(engine, "DEFAULT_BUDGET", 50)
+        monkeypatch.setattr(sources, "DEFAULT_BUDGET", 50)
         assert factorials_minmax(TwoRays(), 1).values == (0, 0)
         with pytest.raises(DepthBudgetExceeded):
             factorials_minmax(TwoRays(), 2)

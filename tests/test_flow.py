@@ -257,15 +257,42 @@ class TestEquidistribution:
         assert [a for a, _, _ in rows] == sorted(fl.tree.addresses[1:])
         assert all(w == omega.get(a, 0) for a, w, _ in rows)
 
-    def test_reads_only_weighted_vertices(self):
+    def test_reads_only_weighted_vertices(self, monkeypatch):
         # A short run weights a few vertices of a deep truncation; the lookup
-        # materializes nothing more, and the unreached edges read 0.
+        # reads the run's children, never the source, and the unreached
+        # edges read 0.
         run = factorials_weighting(RegularSource(3), 5)
-        before = len(run.view._depths)
-        rep = equidistribution_check(run, unit_current_flow(RegularSource(3), 4), 4)
-        assert len(run.view._depths) == before
+        fl = unit_current_flow(RegularSource(3), 4)
+        calls = [
+            helpers.count_calls(monkeypatch, RegularSource, name)
+            for name in ("root_state", "state_children", "state_capacity", "length_scale")
+        ]
+        rep = equidistribution_check(run, fl, 4)
+        assert calls == [[], [], [], []]
         assert len(rep.rows) == 3 + 9 + 27 + 81
         assert sum(w > 0 for _, w, _ in rep.rows) == len(run.weights)
+
+    def test_max_deviation_is_exact_among_float_ties(self):
+        # Two deviations read 3.3333333333333333e-31 as floats; the second
+        # is the larger by about 2 * 10**-61.
+        e = F(1, 10**30)
+        t = helpers.star([1 + e, 1 + 2 * e, 1], [INF] * 3)
+        rep = equidistribution_check(factorials_weighting(t, 2), unit_current_flow(t, 1), 1)
+        deviations = [abs(w - f) for _, w, f in rep.rows]
+        assert float(deviations[1]) == float(deviations[2]) and deviations[1] < deviations[2]
+        assert rep.max_deviation == deviations[2]
+
+    def test_huge_exact_deviations_are_fast(self):
+        # 150 distinct 400-digit lengths give deviations of tens of thousands
+        # of digits, where one exact comparison takes about 20 ms.
+        rng = random.Random(5)
+        lengths = [F(rng.randrange(10**399, 10**400), rng.randrange(10**399, 10**400)) for _ in range(150)]
+        t = helpers.star(lengths, [INF] * 150)
+        run, fl = factorials_weighting(t, 16), unit_current_flow(t, 1)
+        assert len(fl.flows) == 150
+        with helpers.deadline(1):
+            rep = equidistribution_check(run, fl, 1)
+        assert float(rep.max_deviation) == max(float(abs(w - f)) for _, w, f in rep.rows)
 
 
 class TestEscape:
@@ -311,8 +338,9 @@ class TestEscape:
         with pytest.raises(StructureError):
             random_walk_escape(RegularSource(2), 3, trials=trials, seed=1)
 
-    def test_timeouts_reported(self):
-        w = random_walk_escape(RegularSource(2), 3, trials=200, seed=4, max_steps=2)
+    def test_timeouts_reported(self, monkeypatch):
+        monkeypatch.setattr(flow, "_MAX_STEPS", 2)
+        w = random_walk_escape(RegularSource(2), 3, trials=200, seed=4)
         assert w.timeouts > 0
         assert w.escaped + w.timeouts <= w.trials
 

@@ -10,7 +10,9 @@ import oracles
 from treefactorials import (
     INF,
     AdelicSetSource,
+    BiasedSequence,
     LambdaScaledSource,
+    Mismatch,
     ParseError,
     RegularSource,
     RootedTree,
@@ -21,10 +23,12 @@ from treefactorials import (
     effective_resistance,
     engine,
     expand,
+    factorials_minmax,
     factorials_removed,
     factorials_weighting,
     parse_generator_spec,
     unit_current_flow,
+    verify_roundtrip,
 )
 from treefactorials import sources
 from treefactorials.errors import DepthBudgetExceeded
@@ -280,12 +284,13 @@ class TestGeneratorSpec:
             parse_generator_spec(bad)
 
 
-def test_budget_exceeded_is_an_error():
+def test_budget_exceeded_is_an_error(monkeypatch):
     # Expanding past the safety depth must refuse, never truncate silently.
+    monkeypatch.setattr(sources, "DEFAULT_BUDGET", 10)
     with pytest.raises(DepthBudgetExceeded):
-        factorials_weighting(SphericalSource((1,) * 50 + (2,)), 3, budget=10)
+        factorials_weighting(SphericalSource((1,) * 50 + (2,)), 3)
     with pytest.raises(DepthBudgetExceeded):
-        factorials_weighting(SphericalSource((1,) * 50 + (0,)), 1, budget=10)
+        factorials_weighting(SphericalSource((1,) * 50 + (0,)), 1)
 
 
 def test_infinite_path_still_emits_a0():
@@ -295,10 +300,29 @@ def test_infinite_path_still_emits_a0():
     assert run.sequence.values == (0,)
 
 
-def test_finite_lazy_path_within_budget():
-    run = factorials_weighting(SphericalSource((1,) * 50 + (0,)), 5, budget=100)
+def test_finite_lazy_path_within_budget(monkeypatch):
+    monkeypatch.setattr(sources, "DEFAULT_BUDGET", 100)
+    run = factorials_weighting(SphericalSource((1,) * 50 + (0,)), 5)
     # capacity-1 end: the sequence stops after a_0
     assert run.sequence.values == (0,)
+
+
+def test_one_budget_bounds_every_walk(monkeypatch):
+    # The weighting, the min-max, expand and the roundtrip check all read
+    # sources.DEFAULT_BUDGET when they run.
+    monkeypatch.setattr(sources, "DEFAULT_BUDGET", 20)
+    deep = SphericalSource((1,) * 50 + (2,))
+    with pytest.raises(DepthBudgetExceeded):
+        factorials_weighting(deep, 3)
+    with pytest.raises(DepthBudgetExceeded):
+        factorials_minmax(deep, 3)
+    with pytest.raises(DepthBudgetExceeded):
+        expand(RegularSource(2), 5)
+    # The last vertex is first visited after about 1000 steps; the check
+    # doubles its steps from 8 and stops at the budget.
+    late = BiasedSequence(2, ((0, 0), (1, 1000)))
+    with pytest.raises(Mismatch, match=r"never selected within 20 steps \(at most 20\)$"):
+        verify_roundtrip(late)
 
 
 def test_expand_refuses_more_vertices_than_the_budget(monkeypatch):
