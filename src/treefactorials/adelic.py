@@ -17,6 +17,7 @@ from .engine import _minmax, factorials_weighting
 from .errors import IndexOutOfRange, Mismatch, StructureError
 from .sequences import FactorialSequence
 from .sources import AdelicSetSource, _integer_set, _val
+from .trees import _int_str
 
 __all__ = [
     "legendre",
@@ -41,7 +42,7 @@ def _check_index(elems: tuple[int, ...], n_max: int) -> tuple[int, ...]:
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
     if n_max >= len(elems):
-        raise IndexOutOfRange(f"set has {len(elems)} boundary elements, requested index {n_max}")
+        raise IndexOutOfRange(f"set has {len(elems)} boundary elements, requested index {_int_str(n_max)}")
     return elems
 
 
@@ -52,7 +53,7 @@ def factorials_prime(elements, p: int, n_max: int) -> FactorialSequence:
     unit lengths keep the terms ints.  bhargava_factorials runs it on a base."""
     source = AdelicSetSource(elements, p)  # checks the set and p
     _check_index(source.elements, n_max)
-    return FactorialSequence(tuple(_minmax(source, n_max)[0]), f"adelic(p={p})")
+    return FactorialSequence(tuple(_minmax(source, n_max)[0]))
 
 
 # Base elements per product that _coprime_base tests a pending value against.

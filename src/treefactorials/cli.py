@@ -171,9 +171,8 @@ def _cmd_flow(args) -> int:
 
 def _cmd_branching(args) -> int:
     source = _load_source(args)
-    schedule = None if args.depth is None else flow_mod._schedule(args.depth)
     report = flow_mod.branching_number_estimate(
-        source, args.lambda_lo, args.lambda_hi, depth_schedule=schedule, tol=args.tol
+        source, args.lambda_lo, args.lambda_hi, depth=args.depth, tol=args.tol
     )
     for lam, verdict, last in report.evaluations:
         print(f"# lam={format_length(lam)}: {verdict} (R={last!r})")
@@ -240,7 +239,7 @@ def _cmd_equidist(args) -> int:
     source, depth = _load_network(args)
     run = factorials_weighting(source, args.n, _policy(args))
     fl = flow_mod.unit_current_flow(source, depth)
-    report = flow_mod.equidistribution_check(run, fl, depth)
+    report = flow_mod.equidistribution_check(run, fl)
     if args.csv:
         print("address,depth,omega_tilde,eta,deviation")
         for address, w, f in report.rows:
@@ -312,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-hi", type=parse_length, required=True, metavar="L")
     p.add_argument("--tol", type=parse_length, default="1/20", help="bracket width target (default 1/20)")
     p.add_argument("--float", action="store_true")
-    p.set_defaults(func=_cmd_branching)
+    p.set_defaults(func=_cmd_branching, depth=4096)
 
     p = sub.add_parser("realize", help="build a tree realizing a biased sequence")
     p.add_argument("--d", type=int, required=True, help="children per vertex")

@@ -19,7 +19,7 @@ from math import lcm
 from . import sources
 from .errors import DepthBudgetExceeded, Exhausted, IndexOutOfRange, StructureError
 from .sequences import FactorialSequence
-from .trees import INF, RootedTree
+from .trees import INF, RootedTree, _int_str
 
 __all__ = [
     "Canonical",
@@ -128,8 +128,7 @@ def _run_weighting(source, n_max, policy, t, record_trace, exhaust_error=False) 
     def finish():
         if exhaust_error and len(values) < n_max + 1:
             raise Exhausted(f"all boundary elements at capacity after {len(values)} terms")
-        label = "weighting" if t == 0 else f"weighting-removed(t={t})"
-        seq = FactorialSequence(tuple(Fraction(v, scale) for v in values), label)
+        seq = FactorialSequence(tuple(Fraction(v, scale) for v in values))
         return WeightingRun(seq, tuple(trace) if record_trace else None, weights, children_of)
 
     root_kids = view.children(0)
@@ -361,7 +360,7 @@ def factorials_greedy_oracle(tree: RootedTree, n_max: int) -> FactorialSequence:
         values.append(best)
         counts[best_i] += 1
         scores = [s + p for s, p in zip(scores, pair[best_i])]
-    return FactorialSequence(tuple(values), "greedy-oracle")
+    return FactorialSequence(tuple(values))
 
 
 @dataclass(slots=True)
@@ -387,7 +386,7 @@ def factorials_minmax(source, n_max: int) -> FactorialSequence:
     n_max >= N, DepthBudgetExceeded past sources.DEFAULT_BUDGET levels.
     """
     terms, scale = _minmax(source, n_max)
-    return FactorialSequence(tuple(Fraction(v, scale) for v in terms), "minmax")
+    return FactorialSequence(tuple(Fraction(v, scale) for v in terms))
 
 
 def _minmax(source, n_max: int) -> tuple[list[int], int]:
@@ -396,13 +395,15 @@ def _minmax(source, n_max: int) -> tuple[list[int], int]:
         raise StructureError("n_max must be >= 0")
     if n_max and sources._is_ray(source):
         raise StructureError(_RAY)
-    keep, scale, zeros = n_max + 1, source.length_scale() or 1, (0,) * (n_max + 1)
+    keep, scale, zeros = n_max + 1, source.length_scale() or 1, {}
     nodes: dict = {}  # (state, depth) -> its node; a leaf's is complete when made
 
     def node(key) -> _Node:
         x = nodes[key] = _Node(key)
         if (cap := source.state_capacity(*key)) is not None:
-            x.terms, x.runs, x.heap = zeros[: min(cap, keep)], [], []
+            # A leaf's terms, as many as it reaches: one tuple per length.
+            m = min(cap, keep)
+            x.terms, x.runs, x.heap = zeros.get(m) or zeros.setdefault(m, (0,) * m), [], []
         return x
 
     root = node((source.root_state(), 0))
@@ -461,5 +462,5 @@ def _minmax(source, n_max: int) -> tuple[list[int], int]:
         else:
             stack.append(wait)
     if len(root.terms) < keep:
-        raise IndexOutOfRange(f"tree has N={len(root.terms)} terms, requested index {n_max}")
+        raise IndexOutOfRange(f"tree has N={len(root.terms)} terms, requested index {_int_str(n_max)}")
     return root.terms[:keep], scale

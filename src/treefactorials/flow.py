@@ -223,15 +223,14 @@ class EquidistributionReport:
     max_deviation: Fraction
 
 
-def equidistribution_check(
-    run: WeightingRun, flow: FlowAssignment, max_depth: int
-) -> EquidistributionReport:
+def equidistribution_check(run: WeightingRun, flow: FlowAssignment) -> EquidistributionReport:
     """How far the empirical edge frequencies of a run sit from the flow.
 
     The run's normalized weight of the edge into v is the fraction of terms
     whose chosen vertex passed through v, so it is the empirical measure of
-    the branch at v; the flow is its harmonic limit.  An edge leaving the
-    run's weighted subtree has weight 0.
+    the branch at v; the flow is its harmonic limit.  There is a row for
+    every edge of the flow's truncation; an edge leaving the run's weighted
+    subtree has weight 0.
     """
     tree, children, weights = flow.tree, run.children, run.weights
     # Flow-tree vertex -> weighted run vertex (or the root), parents first.
@@ -243,12 +242,11 @@ def equidistribution_check(
     rows = tuple(
         (addr_of[v], Fraction(weights[at[v]], n) if v in at else _ZERO, f)
         for v, f in sorted(flow.flows.items(), key=lambda item: addr_of[item[0]])
-        if len(addr_of[v]) <= max_depth
     )
     # Rounding to float is monotone, so deviations meet in an exact (and, at
     # tens of thousands of digits, slow) comparison only on a float tie.
     worst = max((abs(w - f) for _, w, f in rows), key=lambda x: (_float(x), x), default=_ZERO)
-    return EquidistributionReport(max_depth, run.steps, rows, worst)
+    return EquidistributionReport(flow.depth, run.steps, rows, worst)
 
 
 @dataclass(frozen=True)
@@ -348,9 +346,6 @@ def _schedule(depth: int) -> tuple[int, ...]:
     return tuple(sorted({max(1, depth >> k) for k in (8, 6, 4, 2, 1, 0)}))
 
 
-_DEFAULT_SCHEDULE = _schedule(4096)
-
-
 def _profile_resistances(branching, lam: float, schedule, threshold) -> list[float]:
     """Truncated resistances sum(lam**(k-1) / count_k) at the schedule depths,
     where count_k = branching[0] * ... * branching[k-1] is the edge count
@@ -377,14 +372,14 @@ def _profile_resistances(branching, lam: float, schedule, threshold) -> list[flo
 
 
 def branching_number_estimate(
-    source: TreeSource | RootedTree, lam_lo, lam_hi, depth_schedule=None, tol=Fraction(1, 20)
+    source: TreeSource | RootedTree, lam_lo, lam_hi, depth: int = 4096, tol=Fraction(1, 20)
 ) -> BranchingReport:
     """Bracket the branching number of the generated tree within tol.
 
-    At each candidate lam the lam-scaled truncated resistances over the depth
-    schedule are classified as divergent (past a 10**6 threshold, or still
-    nearly doubling between the last two depths) or convergent (Cauchy within
-    tol/8 at the tail).  An endpoint already on the wrong side collapses the
+    At each candidate lam the lam-scaled truncated resistances at the depths
+    max(1, depth >> k) for k = 8, 6, 4, 2, 1, 0 are classified as divergent
+    (past a 10**6 threshold, or still nearly doubling between the last two
+    depths) or convergent (Cauchy within tol/8 at the tail).  An endpoint already on the wrong side collapses the
     interval to that endpoint.  An unclassifiable candidate raises
     Inconclusive rather than guessing.
     """
@@ -392,9 +387,7 @@ def branching_number_estimate(
     if not 0 < lo < hi:
         raise StructureError("need 0 < lam_lo < lam_hi")
     _root_edges(source)
-    schedule = tuple(depth_schedule) if depth_schedule else _DEFAULT_SCHEDULE
-    if schedule[0] < 1 or list(schedule) != sorted(schedule):
-        raise StructureError("schedule depths must be >= 1 and nondecreasing")
+    schedule = _schedule(depth)
     tol = Fraction(tol)
     res_tol = _float(tol) / 8
     threshold = 10**6

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import sources
 from .engine import OrderedTieBreak, factorials_weighting
 from .errors import Mismatch, NotBiased, StructureError
-from .trees import INF, RootedTree, _denominator_lcm
+from .trees import INF, RootedTree, _denominator_lcm, format_length
 
 __all__ = [
     "BiasedSequence",
@@ -153,8 +153,9 @@ def realize_lengths(seq: BiasedSequence, orders: OrderChoice | None = None) -> R
             value = targets[i] - acc
             if not targets[0] <= 2 * value <= 2 * targets[i]:
                 raise NotBiased(
-                    f"generation {gen}, position {i + 1}: edge length {Fraction(value, scale)} "
-                    f"falls outside [{group[0] / 2}, {group[i]}]"
+                    f"generation {gen}, position {i + 1}: edge length "
+                    f"{format_length(Fraction(value, scale))} falls outside "
+                    f"[{format_length(group[0] / 2)}, {format_length(group[i])}]"
                 )
             scaled[v] = value
             u = parents[v]
@@ -180,7 +181,6 @@ class RoundtripReport:
     first_visits: tuple[tuple[Fraction, ...], ...]
     full_prefix_match: bool
     coherent: bool
-    steps_used: int
 
 
 def verify_roundtrip(seq: BiasedSequence, orders: OrderChoice | None = None) -> RoundtripReport:
@@ -232,8 +232,8 @@ def verify_roundtrip(seq: BiasedSequence, orders: OrderChoice | None = None) -> 
             actual, expected = first_value[v], seq.groups[gen][i]
             if actual != expected:
                 raise Mismatch(
-                    f"generation {gen}, position {i + 1}: first visit at {actual}, "
-                    f"wanted {expected}",
+                    f"generation {gen}, position {i + 1}: first visit at "
+                    f"{format_length(actual)}, wanted {format_length(expected)}",
                     index=index,
                 )
 
@@ -242,4 +242,4 @@ def verify_roundtrip(seq: BiasedSequence, orders: OrderChoice | None = None) -> 
     full_prefix = len(values) >= len(flat) and tuple(values[: len(flat)]) == flat
     if not coherent:
         raise Mismatch("a selection jumped back to an earlier generation", index=0)
-    return RoundtripReport(tree, seq.groups, full_prefix, coherent, run.steps)
+    return RoundtripReport(tree, seq.groups, full_prefix, coherent)

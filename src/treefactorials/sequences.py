@@ -13,10 +13,9 @@ __all__ = ["FactorialSequence", "LimitEstimate", "limit_estimate", "superadditiv
 
 @dataclass(frozen=True)
 class FactorialSequence:
-    """Exact factorial terms a_0..a_{K-1} plus which route produced them."""
+    """Exact factorial terms a_0..a_{K-1}."""
 
     values: tuple[Fraction, ...]
-    provenance: str
 
     def __len__(self) -> int:
         return len(self.values)
@@ -127,7 +126,6 @@ class LimitEstimate:
 
     value: Fraction
     lower_bound: Fraction
-    tail_window: int
     likely_divergent: bool
 
 
@@ -143,7 +141,7 @@ def limit_estimate(seq: FactorialSequence) -> LimitEstimate:
     K = len(values) - 1
     if K < 1:
         raise ValueError("need at least two terms to estimate a limit")
-    tail_window = max(1, K // 4)
+    window = max(1, K // 4)
     # Quotients come from the scaled integers, so int terms give Fractions
     # too; the largest a_k/k is found by comparing a_k * j with a_j * k, so
     # no quotient is reduced until the last.
@@ -154,6 +152,6 @@ def limit_estimate(seq: FactorialSequence) -> LimitEstimate:
         if a[k] * best > a[best] * k:
             best = k
     lower = Fraction(a[best], best * den)
-    start = K - tail_window
+    start = K - window
     climb = value - (Fraction(a[start], start * den) if start >= 1 else Fraction(0))
-    return LimitEstimate(value, lower, tail_window, climb > Fraction(1, 100))
+    return LimitEstimate(value, lower, climb > Fraction(1, 100))

@@ -155,7 +155,7 @@ def test_criterion_07_equidistribution():
     t0 = time.perf_counter()
     src = RegularSource(2)
     run = factorials_weighting(src, 2**14)
-    report = equidistribution_check(run, unit_current_flow(src, 3), 3)
+    report = equidistribution_check(run, unit_current_flow(src, 3))
     # the harmonic flow through a depth-k edge of the binary tree is 2**-k,
     # so max_deviation is exactly the quantity the bound is about
     assert len(report.rows) == 2 + 4 + 8

@@ -165,6 +165,11 @@ class TestFactorialsPrime:
         with pytest.raises(IndexOutOfRange):
             factorials_prime((0, 1, 2), 2, 3)
 
+    def test_index_past_the_digit_cap(self):
+        with pytest.raises(IndexOutOfRange) as exc:
+            factorials_prime((0, 1), 2, 10**5000)
+        assert str(exc.value) == "set has 2 boundary elements, requested index 1" + "0" * 5000
+
     def test_translation_and_unit_scaling_invariance(self):
         base = factorials_prime((0, 3, 7, 12), 2, 3).values
         assert factorials_prime((5, 8, 12, 17), 2, 3).values == base  # S + 5
@@ -400,6 +405,11 @@ class TestBhargava:
             assert greedy_bhargava_oracle((0, p89, 2 * p89), 2) == [1, p89, 2 * p89**2]
             got = bhargava_factorials(wide, 4)
         assert got == oracles.vandermonde_factorials(wide, 4)
+
+    def test_difference_past_the_digit_cap(self):
+        # A 5,001-digit difference is its own base element.
+        q = 10**5000 + 7
+        assert bhargava_factorials((0, q), 1) == [1, q]
 
     def test_needs_no_sympy(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "sympy", None)

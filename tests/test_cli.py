@@ -517,6 +517,32 @@ class TestDigitCap:
         path.write_text(f"node 0 parent=-\nnode 1 parent=0 length={length} capacity=inf\n")
         assert run_cli("factorials", "--tree", str(path), "--n", "1") == (0, f"a_0 = 0\na_1 = {length}\n", "")
 
+    # 10**5000 + 7, 5,001 digits; these commands print it with str().
+    BIG = "1" + "0" * 4999 + "7"
+
+    def test_adelic_set_past_the_cap(self):
+        assert run_cli("adelic", f"--set=0,{self.BIG}", "--n", "1") == (
+            0, f"factorial(0) = 1\nfactorial(1) = {self.BIG}\n", "",
+        )
+
+    def test_csv_length_past_the_cap(self, tmp_path):
+        path = tmp_path / "edge.tree"
+        path.write_text(f"node 0 parent=-\nnode 1 parent=0 length={self.BIG} capacity=inf\n")
+        assert run_cli("factorials", "--tree", str(path), "--n", "1", "--csv") == (
+            0, f"n,a_n_num,a_n_den,a_n_float\n0,0,1,0.0\n1,{self.BIG},1,inf\n", "",
+        )
+
+    def test_realize_mismatch_past_the_cap(self, tmp_path):
+        # B = 10**4400; generation 2's first vertex is visited at 101 * B.
+        b = "1" + "0" * 4400
+        path = tmp_path / "seq.csv"
+        rows = ["0,1,0", "0,2,0", f"1,1,{b}", f"1,2,{b[:-1]}1"]
+        rows += [f"2,{i},{b}00" for i in (1, 2, 3)] + [f"2,4,{b}000"]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli("realize", "--d", "2", "--seq", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"Mismatch: generation 2, position 1: first visit at 101{b[1:]}, wanted {b}00\n"
+
 
 class TestFloatRange:
     """A value past the float range prints as inf; a branching evaluation

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -283,7 +284,7 @@ class TestPartialUnitFlow:
 
     def test_normalized_weights_sum_to_one_per_level(self):
         run = factorials_weighting(RegularSource(2), 500)
-        rows = equidistribution_check(run, unit_current_flow(RegularSource(2), 2), 2).rows
+        rows = equidistribution_check(run, unit_current_flow(RegularSource(2), 2)).rows
         for depth in (1, 2):
             level = [w for a, w, _ in rows if len(a) == depth]
             assert len(level) == 2**depth and sum(level) == 1
@@ -629,6 +630,22 @@ class TestMinmaxOnSources:
         with pytest.raises(IndexOutOfRange, match="^tree has N=6 terms, requested index 6$"):
             factorials_minmax(SphericalSource((3, 2, 0)), 6)
         assert factorials_minmax(SphericalSource((1,) * 50 + (0,)), 0).values == (0,)
+
+    def test_index_far_past_the_terms(self):
+        # Leaves of capacity 1 and 2 hold only the terms they reach, so an
+        # index far past N = 3 allocates nothing for it.
+        t = helpers.star([1, 2], [1, 2])
+        tracemalloc.start()
+        try:
+            with pytest.raises(IndexOutOfRange, match="^tree has N=3 terms, requested index 10000000$"):
+                factorials_minmax(t, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(IndexOutOfRange) as exc:
+            factorials_minmax(t, 10**5000)
+        assert str(exc.value) == "tree has N=3 terms, requested index 1" + "0" * 5000
 
     def test_walk_past_the_depth_budget(self, monkeypatch):
         monkeypatch.setattr(sources, "DEFAULT_BUDGET", 50)

@@ -227,19 +227,19 @@ class TestEquidistribution:
         fl = unit_current_flow(t, 1)
         for n in (1, 2, 9, 100):
             run = factorials_weighting(t, n)
-            rep = equidistribution_check(run, fl, 1)
+            rep = equidistribution_check(run, fl)
             assert rep.max_deviation <= F(1, 2 * rep.steps)
 
     def test_single_step_bounded_by_one(self):
         run = factorials_weighting(RegularSource(2), 1)
         fl = unit_current_flow(RegularSource(2), 2)
-        rep = equidistribution_check(run, fl, 2)
+        rep = equidistribution_check(run, fl)
         assert rep.max_deviation <= 1
 
     def test_binary_convergence(self):
         run = factorials_weighting(RegularSource(2), 2**10)
         fl = unit_current_flow(RegularSource(2), 3)
-        rep = equidistribution_check(run, fl, 3)
+        rep = equidistribution_check(run, fl)
         assert float(rep.max_deviation) < 0.01
 
     @settings(max_examples=40, deadline=None)
@@ -253,7 +253,7 @@ class TestEquidistribution:
         except AllOpenCircuit:
             return
         omega = {t.addresses[v]: F(w, run.steps) for v, w in run.weights.items()}
-        rows = equidistribution_check(run, fl, depth).rows
+        rows = equidistribution_check(run, fl).rows
         assert [a for a, _, _ in rows] == sorted(fl.tree.addresses[1:])
         assert all(w == omega.get(a, 0) for a, w, _ in rows)
 
@@ -267,7 +267,7 @@ class TestEquidistribution:
             helpers.count_calls(monkeypatch, RegularSource, name)
             for name in ("root_state", "state_children", "state_capacity", "length_scale")
         ]
-        rep = equidistribution_check(run, fl, 4)
+        rep = equidistribution_check(run, fl)
         assert calls == [[], [], [], []]
         assert len(rep.rows) == 3 + 9 + 27 + 81
         assert sum(w > 0 for _, w, _ in rep.rows) == len(run.weights)
@@ -277,7 +277,7 @@ class TestEquidistribution:
         # is the larger by about 2 * 10**-61.
         e = F(1, 10**30)
         t = helpers.star([1 + e, 1 + 2 * e, 1], [INF] * 3)
-        rep = equidistribution_check(factorials_weighting(t, 2), unit_current_flow(t, 1), 1)
+        rep = equidistribution_check(factorials_weighting(t, 2), unit_current_flow(t, 1))
         deviations = [abs(w - f) for _, w, f in rep.rows]
         assert float(deviations[1]) == float(deviations[2]) and deviations[1] < deviations[2]
         assert rep.max_deviation == deviations[2]
@@ -291,7 +291,7 @@ class TestEquidistribution:
         run, fl = factorials_weighting(t, 16), unit_current_flow(t, 1)
         assert len(fl.flows) == 150
         with helpers.deadline(1):
-            rep = equidistribution_check(run, fl, 1)
+            rep = equidistribution_check(run, fl)
         assert float(rep.max_deviation) == max(float(abs(w - f)) for _, w, f in rep.rows)
 
 
@@ -369,11 +369,9 @@ class TestBranching:
         assert rep.low == rep.high == F(3, 2)
 
     def test_inconclusive_is_an_error(self):
+        # Depth 8 gives the schedule (1, 2, 4, 8).
         with pytest.raises(Inconclusive):
-            branching_number_estimate(
-                RegularSource(2), F(15, 8), F(31, 16),
-                depth_schedule=(3, 4), tol=F(1, 10**6),
-            )
+            branching_number_estimate(RegularSource(2), F(15, 8), F(31, 16), depth=8, tol=F(1, 10**6))
 
     def test_evaluations_recorded(self):
         rep = branching_number_estimate(RegularSource(2), F(1), F(4))
@@ -388,32 +386,33 @@ class TestBranching:
 
     def test_explicit_tree_evaluations_match_per_depth_calls(self, monkeypatch):
         # One walk per evaluation at the deepest schedule depth, and one
-        # solve per schedule depth up to the tree's height (3).
+        # solve per schedule depth up to the tree's height (3): depth 64
+        # gives the schedule (1, 4, 16, 32, 64), cut to (1, 3).
         tree = expand(SphericalSource((4, 3, 2)), 3)
-        schedule = (2, 3, 64)
         walks = helpers.count_calls(monkeypatch, flow, "_dag")
         solves = helpers.count_calls(monkeypatch, flow, "_solve")
-        rep = branching_number_estimate(tree, F(1), F(4), depth_schedule=schedule)
+        rep = branching_number_estimate(tree, F(1), F(4), depth=64)
         assert [depth for _, depth in walks] == [64] * len(rep.evaluations)
-        assert [h for _, h in solves] == [2, 3] * len(rep.evaluations)
+        assert [h for _, h in solves] == [1, 3] * len(rep.evaluations)
         monkeypatch.undo()
         want = []
         for lam, _, _ in rep.evaluations:
             scaled = LambdaScaledSource(tree, lam)
-            values = [float(effective_resistance(scaled, h).value) for h in schedule]
-            assert values[0] < values[1] == values[2]
+            values = [float(effective_resistance(scaled, h).value) for h in flow._schedule(64)]
+            assert values[0] < values[1] == values[2] == values[3] == values[4]
             want.append((lam, "convergent", values[-1]))
         assert list(rep.evaluations) == want
 
     def test_path_walks_once_per_lambda_and_solves_its_height_once(self, monkeypatch):
-        # Schedule depths 64 and 256 both cut nothing of a 40-edge path.
+        # Depth 256 gives the schedule (1, 4, 16, 64, 128, 256); its depths
+        # 64, 128 and 256 all cut nothing of a 40-edge path.
         path = helpers.path_tree([1] * 40, cap=INF)
         walks = helpers.count_calls(monkeypatch, flow, "_dag")
         solves = helpers.count_calls(monkeypatch, flow, "_solve")
-        rep = branching_number_estimate(path, F(1), F(2), depth_schedule=(16, 64, 256))
+        rep = branching_number_estimate(path, F(1), F(2), depth=256)
         assert len(rep.evaluations) > 2
         assert [depth for _, depth in walks] == [256] * len(rep.evaluations)
-        assert [h for _, h in solves] == [16, 40] * len(rep.evaluations)
+        assert [h for _, h in solves] == [1, 4, 16, 40] * len(rep.evaluations)
 
     def test_level_profile_read_once(self, monkeypatch):
         calls = helpers.count_calls(monkeypatch, flow, "level_branching")
@@ -434,16 +433,10 @@ class TestBranching:
                 src = LambdaScaledSource(src, F(rng.randint(1, 9), rng.randint(1, 4)))
             lam = float(F(rng.randint(1, 60), rng.randint(1, 12)))
             if i % 10 == 0:
-                schedule = flow._DEFAULT_SCHEDULE
+                schedule = flow._schedule(4096)
             else:
                 schedule = tuple(sorted({rng.randint(1, 600) for _ in range(4)}))
             got = flow._profile_resistances(level_branching(src, schedule[-1]), lam, schedule, threshold)
             assert got == oracles.profile_by_counts(b, lam, schedule, threshold), (src, lam, schedule)
             full_depth += got[-1] <= threshold
         assert full_depth >= 50
-
-    def test_schedule_must_be_positive_and_sorted(self):
-        for schedule in ((0, 3), (64, 16)):
-            for src in (RegularSource(2), helpers.binary_tree(2)):
-                with pytest.raises(StructureError):
-                    branching_number_estimate(src, F(1), F(4), depth_schedule=schedule)

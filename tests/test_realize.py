@@ -175,6 +175,33 @@ class TestScaledLengths:
         assert str(got.value) == "generation 2, position 2: edge length 6 falls outside [31/4, 16]"
 
 
+class TestHugeTargets:
+    """Targets past the interpreter's 4,300-digit cap on int-string
+    conversion end in the domain error, printed in full."""
+
+    B = 10**4400
+    ZEROS = "0" * 4400
+
+    def test_window_message(self, monkeypatch):
+        # test_window_message_matches_reference's table times B.
+        monkeypatch.setattr(realize, "is_sufficiently_biased", lambda seq: (True, None))
+        B = self.B
+        seq = BiasedSequence(2, ((0, 0), (F(10, 3) * B, F(25, 6) * B), (F(31, 2) * B, 16 * B, 17 * B, F(35, 2) * B)))
+        with pytest.raises(NotBiased) as exc:
+            realize_lengths(seq)
+        z = self.ZEROS
+        assert str(exc.value) == f"generation 2, position 2: edge length 6{z} falls outside [775{z[2:]}, 16{z}]"
+
+    def test_mismatch_message(self):
+        B = self.B
+        seq = BiasedSequence(2, ((0, 0), (B, B + 1), (100 * B, 100 * B, 100 * B, 1000 * B)))
+        with pytest.raises(Mismatch) as exc:
+            verify_roundtrip(seq)
+        z = self.ZEROS
+        assert exc.value.index == 4
+        assert str(exc.value) == f"generation 2, position 1: first visit at 101{z}, wanted 100{z}"
+
+
 class TestRoundtrip:
     def test_depth_one(self):
         rep = verify_roundtrip(BiasedSequence(2, ((0, 0), (10, 12))))

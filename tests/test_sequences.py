@@ -20,8 +20,8 @@ from treefactorials import (
 F = Fraction
 
 
-def seq(values, provenance="weighting"):
-    return FactorialSequence(tuple(F(v) for v in values), provenance)
+def seq(values):
+    return FactorialSequence(tuple(F(v) for v in values))
 
 
 def literal_gap(values):
@@ -56,10 +56,6 @@ class TestContainer:
         assert len(s) == 3
         assert s[1] == F(1, 2)
         assert tuple(map(float, s)) == (0.0, 0.5, 2.0)
-
-    def test_provenance_label(self):
-        run = factorials_weighting(RegularSource(2), 4)
-        assert run.sequence.provenance == "weighting"
 
 
 class TestSuperadditivity:
