@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
 from math import lcm
-from operator import add, lt
+from operator import attrgetter, sub
+
+from .errors import StructureError
 
 __all__ = ["FactorialSequence", "LimitEstimate", "limit_estimate", "superadditivity_gap"]
 
@@ -26,98 +27,76 @@ class FactorialSequence:
 
 def _scaled(values) -> tuple[list[int], int]:
     """The values times their common denominator, and that denominator."""
-    den = lcm(*(v.denominator for v in values))
+    den = lcm(*map(attrgetter("denominator"), values))
+    if den == 1:
+        return list(map(attrgetter("numerator"), values)), 1
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-# Sequences up to this many terms take the int loop: on a superadditive
-# sequence, where every pair is checked, the numpy sweep is faster from about
-# 44 terms on (0.042 ms against 0.051 ms), and a short run need not import it.
-_LOOP_TERMS = 40
-
-# Cells compared at once by the numpy sweep: rows of the pair triangle
-# times the longest row in the block.
-_BLOCK_CELLS = 2**18
-
-
-def _narrow_array(scaled):
-    """The scaled values as an array of the narrowest of int16, int32 and
-    int64 that holds twice their largest magnitude, so neither a pairwise
-    sum nor the sweep's padding wraps; None when numpy is missing or no
-    int64 holds that bound."""
-    try:
-        import numpy as np
-    except ImportError:
-        return None
-    bound = 2 * max(max(scaled), -min(scaled))
-    for dtype in (np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
-            return np.array(scaled, dtype=dtype)
-    return None
+def _certified(a: list[int]) -> bool:
+    """Whether a_0 <= 0 and g(d) >= 0 for 2 <= d < K, where g is the Moebius
+    inversion of the differences r_n = a_n - a_{n-1} (r_n sums g(d) over
+    the divisors d of n).  Then a_n = a_0 + sum_d g(d) floor(n/d), so
+    a_{m+n} - a_m - a_n = -a_0 + sum_{d >= 2} g(d) c_d with every c_d =
+    floor((m+n)/d) - floor(m/d) - floor(n/d) in {0, 1}: no gap.  Sufficient
+    only: False proves nothing."""
+    K = len(a)
+    if K < 3:
+        return True
+    if a[0] > 0:
+        return False
+    g = [0, *map(sub, a[1:], a[:-1])]
+    for d in range(1, (K + 1) // 2):
+        gd = g[d]
+        if gd < 0 and d > 1:
+            return False
+        if gd:
+            for n in range(2 * d, K, d):
+                g[n] -= gd
+    return min(g[(K + 1) // 2 :]) >= 0  # noqa: E203
 
 
-def _row_blocks(K: int):
-    """Rows m = 1 .. (K - 1) // 2 of the pair triangle in consecutive
-    blocks [m0, m1) of at most _BLOCK_CELLS cells, each row counted as long
-    as the block's first, K - 2 * m0."""
-    m0, last = 1, (K + 1) // 2
-    while m0 < last:
-        m1 = min(last, m0 + max(1, _BLOCK_CELLS // (K - 2 * m0)))
-        yield m0, m1
-        m0 = m1
+def _swept(a: list[int]) -> tuple[int, int] | None:
+    """The first gap, row by row of the pair triangle.
 
-
-def _numpy_gap(arr) -> tuple[int, int] | None:
-    """superadditivity_gap over an array from _narrow_array.
-
-    Row m compares a_{2m+j} with a_m + a_{m+j} for j = 0 .. K-2m-1.  A block
-    of rows reads windows of one fixed width out of two padded copies: past
-    the end, the a_{m+n} side reads twice the largest magnitude and the a_n
-    side 0, so a padded cell is never below its sum."""
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    K = len(arr)
-    top = 2 * int(np.abs(arr).max())
-    lhs = np.concatenate((arr, np.full(K, top, dtype=arr.dtype)))
-    rhs = np.concatenate((arr, np.zeros(K, dtype=arr.dtype)))
-    for m0, m1 in _row_blocks(K):
-        width = K - 2 * m0
-        sums = arr[m0:m1, None] + sliding_window_view(rhs, width)[m0:m1]
-        bad = sliding_window_view(lhs, width)[2 * m0 : 2 * m1 : 2] < sums  # noqa: E203
-        cell = int(bad.argmax())
-        if bad.flat[cell]:
-            m = m0 + cell // width
-            return (m, m + cell % width)
+    a_i - min(a) is packed into field i of one int, w bits a field, with w
+    a whole number of bytes and B = max - min + max(|min|, |max|) below
+    2^(w-1).  Row m takes fields 2m.. with their top (guard) bit set, less
+    a_m in each field, less fields m..: field j holds 2^(w-1) + a_{2m+j} -
+    a_m - a_{m+j}, within B of 2^(w-1), so it never borrows from the next
+    and keeps its guard bit exactly when a_{2m+j} >= a_m + a_{m+j}.  The
+    lowest cleared guard bit gives n = m + j."""
+    K, lo, hi = len(a), min(a), max(a)
+    size = ((hi - lo + max(-lo, hi)).bit_length() + 8) // 8
+    w = 8 * size
+    packed = int.from_bytes(b"".join([(v - lo).to_bytes(size, "little") for v in a]), "little")
+    full = (1 << K * w) - 1
+    ones = full // ((1 << w) - 1)
+    guards = ones << (w - 1)
+    top = packed | guards
+    for m in range(1, (K + 1) // 2):
+        t = 2 * m * w
+        row = guards >> t
+        held = ((top >> t) - a[m] * (ones >> t) - ((packed >> m * w) & (full >> t))) & row
+        if held != row:
+            cleared = row ^ held
+            return (m, m + ((cleared & -cleared).bit_length() - 1) // w)
     return None
 
 
 def superadditivity_gap(values) -> tuple[int, int] | None:
     """First (m, n) with a_{m+n} < a_m + a_n, or None if superadditive.
 
-    Checks every pair m <= n, in order of m, then n, on the values times
-    their common denominator, so every comparison is between integers.
-    Sequences longer than 40 terms are checked with numpy when it is
-    installed and an int64 holds twice the largest scaled magnitude: the
-    values go into the narrowest of int16, int32 and int64 that holds that
-    bound, and rows of the pair triangle are compared in blocks of up to
-    2**18 cells through sliding windows, padded past the end so no padded
-    cell reads as a violation.  Otherwise an exact loop over Python ints
-    checks them.
+    Pairs m <= n are ordered by m, then n, and compared exactly, on the
+    values times their common denominator.  A tree's factorials are floor
+    sums, such as Legendre's v_p(n!) = sum_k floor(n / p^k), and most pass a
+    certificate (_certified) that a sieve checks in O(K log K) integer
+    steps.  A sequence it cannot prove is swept row by row (_swept), each
+    row in a few operations on one packed Python int, so the K^2/4 pairs
+    are compared a machine word of fields at a time.
     """
-    K = len(values)
     a, _ = _scaled(values)
-    arr = _narrow_array(a) if K > _LOOP_TERMS else None
-    if arr is not None:
-        return _numpy_gap(arr)
-    for m in range(1, (K + 1) // 2):
-        # a_{m+n} against a_m + a_n for n = m .. K-m-1, stopping at the
-        # first n that breaks it.
-        sums = map(add, repeat(a[m]), a[m : K - m])  # noqa: E203
-        n = next(compress(count(m), map(lt, a[2 * m :], sums)), None)  # noqa: E203
-        if n is not None:
-            return (m, n)
-    return None
+    return None if _certified(a) else _swept(a)
 
 
 @dataclass(frozen=True)
@@ -140,7 +119,7 @@ def limit_estimate(seq: FactorialSequence) -> LimitEstimate:
     values = seq.values
     K = len(values) - 1
     if K < 1:
-        raise ValueError("need at least two terms to estimate a limit")
+        raise StructureError("need at least two terms to estimate a limit")
     window = max(1, K // 4)
     # Quotients come from the scaled integers, so int terms give Fractions
     # too; the largest a_k/k is found by comparing a_k * j with a_j * k, so
