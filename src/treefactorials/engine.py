@@ -314,6 +314,8 @@ def factorials_removed(source, t: int, n_max: int, policy=None, *, record_trace:
 def capacity_bound(tree: RootedTree):
     """Number of factorial terms N: the sum of the leaf capacities, inf when
     one is; the leaves number 1 plus (children - 1) summed over inner vertices."""
+    if not isinstance(tree, RootedTree):
+        raise StructureError("the capacity bound needs an explicit tree; expand a generated source first")
     caps = [tree.capacities[v] for v in tree.leaves]
     return INF if INF in caps else sum(caps)
 

@@ -31,7 +31,7 @@ from operator import itemgetter
 from .engine import WeightingRun
 from .errors import AllOpenCircuit, Inconclusive, StructureError
 from .sources import LambdaScaledSource, TreeSource, _dag, _unroll, level_branching
-from .trees import INF, RootedTree, _float
+from .trees import INF, RootedTree, _float, _int_str, format_length
 
 __all__ = [
     "ResistanceResult",
@@ -386,9 +386,13 @@ def branching_number_estimate(
     lo, hi = Fraction(lam_lo), Fraction(lam_hi)
     if not 0 < lo < hi:
         raise StructureError("need 0 < lam_lo < lam_hi")
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise StructureError(f"tol must be > 0, got {format_length(tol)}")
+    if depth < 1:
+        raise StructureError(f"depth must be >= 1, got {_int_str(depth)}")
     _root_edges(source)
     schedule = _schedule(depth)
-    tol = Fraction(tol)
     res_tol = _float(tol) / 8
     threshold = 10**6
     branching = level_branching(source, schedule[-1])

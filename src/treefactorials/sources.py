@@ -218,6 +218,12 @@ def _val(p: int, x: int) -> int:
     return v
 
 
+def _check_modulus(p) -> None:
+    """StructureError unless p is an integer >= 2."""
+    if not isinstance(p, int) or p < 2:
+        raise StructureError(f"modulus must be an integer >= 2, got {p!r}")
+
+
 def _require_prime(n: int) -> None:
     """StructureError unless n is a proven prime; for a prime that comes
     from outside the program (CLI --p, the adelic spec)."""
@@ -244,8 +250,7 @@ class AdelicSetSource(TreeSource):
 
     def __post_init__(self):
         object.__setattr__(self, "elements", _integer_set(self.elements))
-        if not isinstance(self.p, int) or self.p < 2:
-            raise StructureError(f"modulus must be an integer >= 2, got {self.p!r}")
+        _check_modulus(self.p)
 
     def root_state(self):
         return self.elements

@@ -27,8 +27,9 @@ from treefactorials import (
     parse_generator_spec,
     superadditivity_gap,
 )
-from treefactorials.adelic import _coprime_base, _difference_base
-from treefactorials.sources import _is_prime
+from treefactorials import adelic
+from treefactorials.adelic import _coprime_base, _difference_base, _exponents
+from treefactorials.sources import _is_prime, _val
 
 F = Fraction
 
@@ -48,6 +49,13 @@ class TestLegendre:
     def test_rejects_negative(self):
         with pytest.raises(StructureError):
             legendre(-1, 2)
+
+    @pytest.mark.parametrize("p", [0, -2, 1, -1, 2.0, Fraction(3)])
+    def test_bad_prime_is_structure_error(self, p):
+        # The deadline: a loop multiplying by p = 1 would never end.
+        with helpers.deadline(2):
+            with pytest.raises(StructureError, match=re.escape(f"modulus must be an integer >= 2, got {p!r}")):
+                legendre(10, p)
 
 
 class TestAdelicTree:
@@ -306,12 +314,108 @@ class TestCoprimeBaseByProduct:
         assert _coprime_base(numbers) == oracles.coprime_base_by_scan(numbers)
 
     def test_difference_bases_of_wide_sets(self):
+        # The primes below 200 that divide a difference come out first, then
+        # the plain scan runs on what is left.
         rng = random.Random(11)
         for digits in (3, 12, 18, 40):
             for _ in range(5):
                 s = list({rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(16)})
                 diffs = [b - a for a, b in itertools.combinations(sorted(s), 2)]
-                assert _difference_base(tuple(sorted(s))) == oracles.coprime_base_by_scan(diffs)
+                small, rest = split_small_primes(diffs)
+                want = sorted(small + oracles.coprime_base_by_scan(rest))
+                assert _difference_base(tuple(sorted(s))) == want
+
+
+SMALL_PRIMES = [p for p in range(200) if _is_prime(p)]
+
+
+def split_small_primes(numbers):
+    """The primes below 200 dividing some number, and the numbers with those
+    primes divided out."""
+    small, rest = set(), []
+    for x in numbers:
+        for p in SMALL_PRIMES:
+            while x % p == 0:
+                small.add(p)
+                x //= p
+        rest.append(x)
+    return sorted(small), rest
+
+
+def class_split(elems, q):
+    """(|S| - |T|, T): T the elements whose class mod q has another."""
+    t = [s for s in elems if sum((s - x) % q == 0 for x in elems) > 1]
+    return len(elems) - len(t), tuple(t)
+
+
+@st.composite
+def clustered_sets(draw):
+    """Sets whose differences share primes: clusters r + p*k over a prime
+    p > 200 (pairs and triples), a few loose elements, and scalings by
+    products of small primes.  Differences stay below ~10**8, where
+    oracles.bhargava_by_primes factors by trial division."""
+    elems = set(draw(st.lists(st.integers(-(10**4), 10**4), max_size=4)))
+    primes = []
+    for _ in range(draw(st.integers(1, 3))):
+        primes.append(p := draw(st.sampled_from([211, 1009, 10007, 65537])))
+        r = draw(st.integers(-(10**4), 10**4))
+        elems.update(r + p * k for k in draw(st.lists(st.integers(-20, 20), min_size=2, max_size=3, unique=True)))
+    # The classes mod each cluster prime stay the same under the scaling.
+    c = draw(st.sampled_from([1, 1, 2, 6, 12, 30, 2**5 * 3**2]))
+    return tuple(sorted(c * x for x in elems)), max(primes)
+
+
+class TestClassRule:
+    """e_q(S) = (0,) * (|S| - |T|) + e_q(T), T the union of the classes mod q
+    with two or more elements; a pair {a, b} gives (0, val_q(b - a))."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(clustered_sets(), st.data())
+    def test_matches_both_oracles(self, drawn, data):
+        s, q = drawn
+        # Indices below, at and above |S| - |T| of the largest cluster.
+        lead = class_split(s, q)[0]
+        n_max = data.draw(st.sampled_from(sorted({max(lead - 1, 0), lead, min(lead + 1, len(s) - 1)})))
+        got = bhargava_factorials(s, n_max)
+        assert got == greedy_bhargava_oracle(s, n_max) == oracles.bhargava_by_primes(s, n_max)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_leading_zeros_and_the_rest(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            q = rng.choice([2, 3, 4, 6, 9, 10, 12, 35, 97, 211])
+            s = tuple(sorted(rng.sample(range(-3 * q, 3 * q), rng.randint(1, min(12, 6 * q)))))
+            lead, t = class_split(s, q)
+            full = factorials_prime(s, q, len(s) - 1).values
+            assert _exponents(s, q, len(s) - 1) == full
+            assert full[:lead] == (0,) * lead
+            if t:
+                assert full[lead:] == factorials_prime(t, q, len(t) - 1).values
+            for n in range(len(s)):
+                assert _exponents(s, q, n) == full[: n + 1] == factorials_prime(s, q, n).values
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.integers(1, 10**30),
+        st.integers(0, 60),
+        st.sampled_from([2, 3, 6, 10, 211, 10**9 + 7]),
+    )
+    def test_pair_form(self, a, m, k, q):
+        b = a + m * q**k
+        want = (0, _val(q, b - a))
+        assert factorials_prime((a, b), q, 1).values == want == _exponents((a, b), q, 1)
+
+    def test_only_larger_classes_run_the_min_max(self, monkeypatch):
+        rng = random.Random(2026)
+        s = tuple(sorted(rng.sample(range(10**11, 10**12), 20)))
+        base = _difference_base(s)
+        calls = helpers.count_calls(monkeypatch, adelic, "factorials_prime")
+        bhargava_factorials(s, 19)
+        wide = [q for q in base if len(class_split(s, q)[1]) >= 3]
+        assert [q for _, q, _ in calls] == wide
+        assert all(len(t) >= 3 for t, _, _ in calls)
+        assert 0 < len(wide) < len(base) // 2
 
 
 class TestCoprimeBaseByChunks:

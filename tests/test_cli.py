@@ -478,6 +478,19 @@ class TestBranching:
         assert (code, err) == (0, "")
         assert out.splitlines()[-3:] == ["low = 1", "high = 33/32", "status = bracketed"]
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--tol", "0"), "tol must be > 0, got 0"),
+            (("--tol=-1/2",), "tol must be > 0, got -1/2"),
+            (("--depth", "0"), "depth must be >= 1, got 0"),
+        ],
+        ids=["tol-zero", "tol-negative", "depth-zero"],
+    )
+    def test_bad_parameter_is_structure_error(self, extra, message):
+        code, out, err = run_cli("branching", "--gen", "regular d=2", "--lambda-lo", "1", "--lambda-hi", "2", *extra)
+        assert (code, out, err) == (1, "", f"StructureError: {message}\n")
+
     @pytest.mark.parametrize("cap", ["inf", "2"])
     def test_edgeless_tree_is_domain_error(self, tmp_path, cap):
         # A grounded root alone has R = 0 at every lambda: no branch to count.

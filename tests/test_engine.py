@@ -111,6 +111,11 @@ class TestCapacityBound:
     def test_infinity_propagates(self):
         assert capacity_bound(helpers.single_edge(1, INF)) == INF
 
+    def test_generated_source_is_structure_error(self):
+        with pytest.raises(StructureError, match="expand a generated source first"):
+            capacity_bound(RegularSource(2))
+        assert capacity_bound(expand(RegularSource(2), 3)) == INF
+
     def test_branching_and_capacity_terms(self):
         # 1 + (3-1) branching + (2-1)+(1-1)+(4-1) leaf slack
         t = helpers.star([1, 1, 1], [2, 1, 4])

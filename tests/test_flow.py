@@ -373,6 +373,25 @@ class TestBranching:
         with pytest.raises(Inconclusive):
             branching_number_estimate(RegularSource(2), F(15, 8), F(31, 16), depth=8, tol=F(1, 10**6))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tol": 0}, "tol must be > 0, got 0"),
+            ({"tol": F(-1, 3)}, "tol must be > 0, got -1/3"),
+            ({"depth": 0}, "depth must be >= 1, got 0"),
+            ({"depth": -5}, "depth must be >= 1, got -5"),
+        ],
+        ids=["tol-zero", "tol-negative", "depth-zero", "depth-negative"],
+    )
+    def test_bad_parameters_are_rejected_before_any_evaluation(self, monkeypatch, kwargs, message):
+        # Not Inconclusive: a parameter error says nothing about the tree.
+        counts = helpers.count_calls(monkeypatch, flow, "level_branching")
+        walks = helpers.count_calls(monkeypatch, flow, "_dag")
+        with pytest.raises(StructureError) as exc:
+            branching_number_estimate(RegularSource(2), F(1), F(4), **kwargs)
+        assert str(exc.value) == message
+        assert (counts, walks) == ([], [])
+
     def test_evaluations_recorded(self):
         rep = branching_number_estimate(RegularSource(2), F(1), F(4))
         assert all(verdict in {"convergent", "divergent"} for _, verdict, _ in rep.evaluations)
