@@ -332,10 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads a value such as -5,3 as an option: join it to a bare --set.
+    # argparse reads a value such as -5,3 or -1/2 as an option: join it to
+    # the bare --option before it.
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--set" and argv[i].startswith("-") and not argv[i].startswith("--"):
-            argv[i - 1 : i + 1] = [f"--set={argv[i]}"]
+        opt, value = argv[i - 1], argv[i]
+        if opt.startswith("--") and "=" not in opt and value[:1] == "-" and value[1:2].isdigit():
+            argv[i - 1 : i + 1] = [f"{opt}={value}"]
     # Exact values are read and printed in full, past the int-string digit cap.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

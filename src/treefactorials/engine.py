@@ -5,16 +5,23 @@ the root, at each step selecting an unsaturated vertex of minimum weighted
 distance, then opening new unit-weight strict paths and incrementing the
 weights back to the root.  The greedy boundary oracle and the min-max
 recursion recompute the same sequence by structurally different algorithms
-and exist to cross-check the engine.
+and exist to cross-check the engine.  The greedy oracle keeps one integer
+score per leaf, leaves numbered depth-first so each edge covers a range of
+them, and adds a selected leaf's root path to those ranges in O(depth + L)
+per step; tests/oracles.py keeps its Fraction pairing-matrix form as the
+reference.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 from math import lcm
+from operator import add
 
 from . import sources
 from .errors import DepthBudgetExceeded, Exhausted, IndexOutOfRange, StructureError
@@ -327,41 +334,50 @@ def factorials_greedy_oracle(tree: RootedTree, n_max: int) -> FactorialSequence:
     capacity; the pairing of two elements is the plain length of their common
     edges, and re-selecting a leaf pairs at the full path length.  Each step
     picks a feasible element of minimum total pairing against everything
-    already selected.  It needs an explicit tree, whose leaves it lists.
+    already selected, the smallest leaf id among equals.  It needs an explicit
+    tree, whose leaves it lists.
+
+    Leaves are numbered depth-first, so the leaves below each edge form one
+    range; selecting a leaf adds each of its root-path edges' lengths to that
+    edge's range, by one difference array, on integers times the length scale.
     """
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
     if not isinstance(tree, RootedTree):
         raise StructureError("the greedy oracle needs an explicit tree; expand a generated source first")
-    leaves = tree.leaves
-    paths = [tree.root_path(m) for m in leaves]
-    caps = [tree.capacities[m] for m in leaves]
-    L = len(leaves)
-    pair = [[Fraction(0)] * L for _ in range(L)]
-    for i in range(L):
-        for j in range(i, L):
-            common = Fraction(0)
-            for a, b in zip(paths[i][1:], paths[j][1:]):
-                if a != b:
-                    break
-                common += tree.lengths[a]
-            pair[i][j] = pair[j][i] = common
-    # scores[i] is element i's total pairing against everything selected so
-    # far; selecting j adds row j of the symmetric pairing matrix.
-    counts = [0] * L
-    scores = [Fraction(0)] * L
+    parents, leaves = tree.parents, tree.leaves
+    L, scale = len(leaves), tree.length_scale()
+    # size[v]: leaves below v; [lo[v], lo[v] + size[v]) is their depth-first range.
+    size = [0 if kids else 1 for kids in tree.children]
+    for v in range(len(parents) - 1, 0, -1):
+        size[parents[v]] += size[v]
+    lo, free = [0] * len(parents), [0] * len(parents)
+    for v in range(1, len(parents)):
+        lo[v] = free[v] = free[parents[v]]
+        free[parents[v]] += size[v]
+    # A key is score * L + the leaf's rank in id order, so the least key is
+    # the least score and, among equal scores, the smallest leaf id; each
+    # edge's length is kept times scale * L.
+    weight = [0] + [x.numerator * (scale // x.denominator) * L for x in tree.lengths[1:]]
+    # left[p]: selections the leaf at position p has left, a falsy 0 once full.
+    keys, left = [0] * L, [0] * L
+    for r, m in enumerate(leaves):
+        keys[lo[m]], left[lo[m]] = r, tree.capacities[m]
     values: list[Fraction] = []
     for n in range(n_max + 1):
-        best: Fraction | None = None
-        best_i = -1
-        for i in range(L):
-            if counts[i] < caps[i] and (best is None or scores[i] < best):
-                best, best_i = scores[i], i
-        if best is None:
+        k = min(compress(keys, left), default=None)
+        if k is None:
             raise Exhausted(f"all boundary elements at capacity after {n} terms")
-        values.append(best)
-        counts[best_i] += 1
-        scores = [s + p for s, p in zip(scores, pair[best_i])]
+        score, r = divmod(k, L)
+        values.append(Fraction(score, scale))
+        v = leaves[r]
+        left[lo[v]] -= 1
+        steps = [0] * (L + 1)
+        while v:
+            steps[lo[v]] += weight[v]
+            steps[lo[v] + size[v]] -= weight[v]
+            v = parents[v]
+        keys = list(map(add, keys, accumulate(steps)))
     return FactorialSequence(tuple(values))
 
 
@@ -385,7 +401,8 @@ def factorials_minmax(source, n_max: int) -> FactorialSequence:
     starts at a_0 = 0, a consumed head b gives way to the bound b + length,
     and a child's next term is pulled only when its bound is the least head.
     Independent of the weighting engine.  Raises IndexOutOfRange when
-    n_max >= N, DepthBudgetExceeded past sources.DEFAULT_BUDGET levels.
+    n_max >= N or a leaf's n_max + 1 terms would not fit in a list,
+    DepthBudgetExceeded past sources.DEFAULT_BUDGET levels.
     """
     terms, scale = _minmax(source, n_max)
     return FactorialSequence(tuple(Fraction(v, scale) for v in terms))
@@ -404,7 +421,8 @@ def _minmax(source, n_max: int) -> tuple[list[int], int]:
         x = nodes[key] = _Node(key)
         if (cap := source.state_capacity(*key)) is not None:
             # A leaf's terms, as many as it reaches: one tuple per length.
-            m = min(cap, keep)
+            if (m := min(cap, keep)) > sys.maxsize:
+                raise IndexOutOfRange(f"requested index {_int_str(n_max)}: a leaf's terms would not fit in a list")
             x.terms, x.runs, x.heap = zeros.get(m) or zeros.setdefault(m, (0,) * m), [], []
         return x
 

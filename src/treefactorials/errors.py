@@ -50,7 +50,8 @@ class Exhausted(TreeFactorialError):
 
 
 class IndexOutOfRange(TreeFactorialError):
-    """Requested a factorial term at or past the boundary count N."""
+    """Requested a factorial term at or past the boundary count N, or past
+    the longest list of terms a leaf can hold."""
 
 
 class AllOpenCircuit(TreeFactorialError):

@@ -13,7 +13,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from treefactorials import INF, RootedTree
+from treefactorials import INF, Exhausted, FactorialSequence, RootedTree, StructureError
 
 
 class OracleExhausted(Exception):
@@ -136,6 +136,52 @@ def all_choice_weighting(tree, n_max: int):
         value_sets.append(values)
         states = nxt
     return value_sets
+
+
+def greedy_by_pairing(tree: RootedTree, n_max: int) -> FactorialSequence:
+    """Greedy minimization over the extended boundary, by an L x L pairing
+    matrix of Fractions: the reference for engine.factorials_greedy_oracle.
+
+    Boundary elements are root-to-leaf paths, selectable up to the leaf
+    capacity; the pairing of two elements is the plain length of their common
+    edges, and re-selecting a leaf pairs at the full path length.  Each step
+    picks a feasible element of minimum total pairing against everything
+    already selected.  It needs an explicit tree, whose leaves it lists.
+    """
+    if n_max < 0:
+        raise StructureError("n_max must be >= 0")
+    if not isinstance(tree, RootedTree):
+        raise StructureError("the greedy oracle needs an explicit tree; expand a generated source first")
+    leaves = tree.leaves
+    paths = [tree.root_path(m) for m in leaves]
+    caps = [tree.capacities[m] for m in leaves]
+    L = len(leaves)
+    pair = [[Fraction(0)] * L for _ in range(L)]
+    for i in range(L):
+        for j in range(i, L):
+            common = Fraction(0)
+            for a, b in zip(paths[i][1:], paths[j][1:]):
+                if a != b:
+                    break
+                common += tree.lengths[a]
+            pair[i][j] = pair[j][i] = common
+    # scores[i] is element i's total pairing against everything selected so
+    # far; selecting j adds row j of the symmetric pairing matrix.
+    counts = [0] * L
+    scores = [Fraction(0)] * L
+    values: list[Fraction] = []
+    for n in range(n_max + 1):
+        best: Fraction | None = None
+        best_i = -1
+        for i in range(L):
+            if counts[i] < caps[i] and (best is None or scores[i] < best):
+                best, best_i = scores[i], i
+        if best is None:
+            raise Exhausted(f"all boundary elements at capacity after {n} terms")
+        values.append(best)
+        counts[best_i] += 1
+        scores = [s + p for s, p in zip(scores, pair[best_i])]
+    return FactorialSequence(tuple(values))
 
 
 def _leaf_pairings(tree):

@@ -3,10 +3,14 @@
 import argparse
 import hashlib
 import io
+import os
 import random
+import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -149,6 +153,16 @@ class TestOracleCheck:
         path.write_text(serialize_tree(helpers.path_tree([1] * 3000, cap=2)))
         code, out, err = run_cli("oracle-check", "--tree", str(path), "--n", "1")
         assert (code, out, err) == (0, "OK: weighting == greedy == minmax\n", "")
+
+    def test_depth_12_subprocess(self):
+        # 4,096 leaves: the greedy oracle's leaf-range steps, not a pairing matrix.
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = [sys.executable, "-m", "treefactorials.cli", "oracle-check", "--gen", "regular d=2"]
+        start = time.perf_counter()
+        done = subprocess.run([*argv, "--depth", "12", "--n", "1000"], env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "OK: weighting == greedy == minmax\n", "")
+        assert time.perf_counter() - start < 10
 
     def test_mismatch_is_reported(self, monkeypatch):
         real = cli.factorials_minmax
@@ -483,13 +497,19 @@ class TestBranching:
         [
             (("--tol", "0"), "tol must be > 0, got 0"),
             (("--tol=-1/2",), "tol must be > 0, got -1/2"),
+            (("--tol", "-1/2"), "tol must be > 0, got -1/2"),
             (("--depth", "0"), "depth must be >= 1, got 0"),
         ],
-        ids=["tol-zero", "tol-negative", "depth-zero"],
+        ids=["tol-zero", "tol-negative", "tol-negative-spaced", "depth-zero"],
     )
     def test_bad_parameter_is_structure_error(self, extra, message):
         code, out, err = run_cli("branching", "--gen", "regular d=2", "--lambda-lo", "1", "--lambda-hi", "2", *extra)
         assert (code, out, err) == (1, "", f"StructureError: {message}\n")
+
+    def test_negative_lambda_is_structure_error(self):
+        # argparse reads -1/2 as an option unless it is joined to --lambda-lo.
+        code, out, err = run_cli("branching", "--gen", "regular d=2", "--lambda-lo", "-1/2", "--lambda-hi", "2")
+        assert (code, out, err) == (1, "", "StructureError: need 0 < lam_lo < lam_hi\n")
 
     @pytest.mark.parametrize("cap", ["inf", "2"])
     def test_edgeless_tree_is_domain_error(self, tmp_path, cap):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -179,6 +180,36 @@ class TestOracleEquivalence:
         c = factorials_weighting(t, 20, SeededRandom(10), record_trace=True)
         assert c.sequence.values == a.sequence.values
         assert c.trace != a.trace
+
+
+class TestGreedyOracle:
+    """The leaf-range greedy against the pairing-matrix reference."""
+
+    @staticmethod
+    def outcome(greedy, tree, n_max):
+        try:
+            return greedy(tree, n_max).values
+        except Exhausted as exc:
+            return f"Exhausted: {exc}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(helpers.small_trees(max_edges=6, caps=(1, 2, 3, INF)), st.integers(-4, 3))
+    def test_matches_pairing_reference(self, t, offset):
+        # offset < 0 stops below the capacity bound, offset >= 0 runs past it.
+        bound = capacity_bound(t)
+        n_max = 10 + offset if bound is INF else max(0, int(bound) - 1 + offset)
+        got = self.outcome(factorials_greedy_oracle, t, n_max)
+        assert got == self.outcome(oracles.greedy_by_pairing, t, n_max)
+        if bound is not INF and n_max >= bound:
+            assert got == f"Exhausted: all boundary elements at capacity after {int(bound)} terms"
+
+    def test_depth_first_order_differs_from_ids(self):
+        # Leaf 3 (under vertex 1) comes first depth-first, leaf 2 first by id;
+        # the first step ties at 0 and takes leaf 2.
+        t = RootedTree.build([-1, 0, 0, 1], [0, 1, 2, 3], {2: 2, 3: 2})
+        assert factorials_greedy_oracle(t, 3).values == oracles.greedy_by_pairing(t, 3).values == (0, 0, 2, 4)
+        with pytest.raises(Exhausted, match="^all boundary elements at capacity after 4 terms$"):
+            factorials_greedy_oracle(t, 4)
 
 
 class TestSequenceProperties:
@@ -651,6 +682,13 @@ class TestMinmaxOnSources:
         with pytest.raises(IndexOutOfRange) as exc:
             factorials_minmax(t, 10**5000)
         assert str(exc.value) == "tree has N=3 terms, requested index 1" + "0" * 5000
+
+    def test_infinite_leaf_past_any_list(self):
+        # A leaf of infinite capacity reaches every index, but no list holds
+        # more than sys.maxsize terms.
+        with pytest.raises(IndexOutOfRange) as exc:
+            factorials_minmax(helpers.two_leaf_star(), 10**5000)
+        assert str(exc.value) == "requested index 1" + "0" * 5000 + ": a leaf's terms would not fit in a list"
 
     def test_walk_past_the_depth_budget(self, monkeypatch):
         monkeypatch.setattr(sources, "DEFAULT_BUDGET", 50)
