@@ -175,7 +175,7 @@ def bhargava_factorials(elements, n_max: int) -> list[int]:
     # the min-max and the class rule; the benchmark's tracer tests also expect
     # this call to reach the engine.
     if base and factorials_weighting(AdelicSetSource(elems, q), n_max).sequence.values != exponents:
-        raise Mismatch(f"residue tree min-max and weighting run differ mod {q}")
+        raise Mismatch(f"residue tree min-max and weighting run differ mod {_int_str(q)}")
     return out
 
 

@@ -32,7 +32,8 @@ from .engine import (
 from .errors import ParseError, TreeFactorialError
 from .realize import BiasedSequence, OrderChoice, verify_roundtrip
 from .sources import _require_prime, expand, parse_generator_spec
-from .trees import INF, _content_lines, _float, format_length, parse_length, parse_tree_file, serialize_tree
+from .trees import (INF, _content_lines, _float, _int_str, _str_int, format_length, parse_length,
+                    parse_tree_file, serialize_tree)
 
 
 _TRUNCATION = "truncation depth (default: a tree file's height; required with --gen)"
@@ -49,7 +50,7 @@ def _add_source_args(p: argparse.ArgumentParser, depth_help: str | None = None) 
 # argparse type, like parse_length: the ValueError of a malformed value is a
 # usage error.
 def integer_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    return [_str_int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 class _UnreadableInput(Exception):
@@ -93,7 +94,8 @@ def _print_sequence(values, args) -> None:
     if args.csv:
         print("n,a_n_num,a_n_den,a_n_float")
     for n, v in enumerate(values):
-        print(f"{n},{v.numerator},{v.denominator},{_float(v)!r}" if args.csv else f"a_{n} = {format_length(v)}")
+        print(f"{n},{_int_str(v.numerator)},{_int_str(v.denominator)},{_float(v)!r}" if args.csv
+              else f"a_{n} = {format_length(v)}")
 
 
 def _cmd_factorials(args) -> int:
@@ -142,7 +144,7 @@ def _cmd_adelic(args) -> int:
     if args.csv:
         print("n,factorial")
     for n, v in enumerate(facts):
-        print(f"{n},{v}" if args.csv else f"factorial({n}) = {v}")
+        print(f"{n},{_int_str(v)}" if args.csv else f"factorial({n}) = {_int_str(v)}")
     return 0
 
 
@@ -154,7 +156,7 @@ def _cmd_flow(args) -> int:
         flows = sorted(fl.flows.items())
         print("edge_parent,edge_child,flow_num,flow_den")
         for v, f in flows:
-            print(f"{fl.tree.parents[v]},{v},{f.numerator},{f.denominator}")
+            print(f"{fl.tree.parents[v]},{v},{_int_str(f.numerator)},{_int_str(f.denominator)}")
         return 0
     escape = fl.escape
     walk = flow_mod._walk(fl.tree, args.trials, args.seed or 0) if args.trials else None
@@ -189,7 +191,7 @@ def _parse_sequence_file(text: str, d: int) -> BiasedSequence:
         if len(parts) != 3:
             raise ParseError("expected 'generation,position,value'", line=ln)
         try:
-            n, i = int(parts[0]), int(parts[1])
+            n, i = _str_int(parts[0]), _str_int(parts[1])
             value = parse_length(parts[2])
         except ValueError:
             raise ParseError(f"bad sequence row {line!r}", line=ln)
@@ -201,8 +203,9 @@ def _parse_sequence_file(text: str, d: int) -> BiasedSequence:
     for n in range(depth + 1):
         size = d if n == 0 else d**n
         got = rows.get(n, {})
-        if sorted(got) != list(range(1, size + 1)):
-            raise ParseError(f"generation {n} needs positions 1..{size}")
+        # The sizes compare first: a size past any list never reaches range().
+        if len(got) != size or sorted(got) != list(range(1, size + 1)):
+            raise ParseError(f"generation {n} needs positions 1..{_int_str(size)}")
         groups.append(tuple(got[i] for i in range(1, size + 1)))
     return BiasedSequence(d, tuple(groups))
 
@@ -214,8 +217,8 @@ def _parse_orders_file(text: str) -> OrderChoice:
             raise ParseError("expected 'generation: slot,slot,...'", line=ln)
         head, tail = line.split(":", 1)
         try:
-            n = int(head)
-            perm = tuple(int(tok) for tok in tail.split(","))
+            n = _str_int(head)
+            perm = tuple(_str_int(tok) for tok in tail.split(","))
         except ValueError:
             raise ParseError(f"bad order row {line!r}", line=ln)
         perms[n] = perm
@@ -327,6 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_equidist)
 
+    # Every type=int option reads through trees._str_int: any length, past the int-string digit cap.
+    for p in sub.choices.values():
+        p.register("type", int, _str_int)
     return parser
 
 
@@ -338,9 +344,6 @@ def main(argv=None) -> int:
         opt, value = argv[i - 1], argv[i]
         if opt.startswith("--") and "=" not in opt and value[:1] == "-" and value[1:2].isdigit():
             argv[i - 1 : i + 1] = [f"{opt}={value}"]
-    # Exact values are read and printed in full, past the int-string digit cap.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -350,8 +353,6 @@ def main(argv=None) -> int:
     except _UnreadableInput as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

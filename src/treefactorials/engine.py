@@ -114,11 +114,20 @@ def _grown(scale: int, den: int) -> int:
     return lcm(scale, den * den)
 
 
+def _check_listable(source, n_max: int) -> None:
+    """IndexOutOfRange when an explicit tree's terms up to n_max would not fit
+    in a list: n_max and its bound N are both past sys.maxsize.  A lazy
+    source is not checked."""
+    if n_max >= sys.maxsize and isinstance(source, RootedTree) and capacity_bound(source) > sys.maxsize:
+        raise IndexOutOfRange(f"requested index {_int_str(n_max)}: the terms would not fit in a list")
+
+
 def _run_weighting(source, n_max, policy, t, record_trace, exhaust_error=False) -> WeightingRun:
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
     if t < 0:
         raise StructureError("t must be >= 0")
+    _check_listable(source, n_max)
     view = sources.view_of(source)
     policy = policy or Canonical()
     # The run keeps lengths, scores and values as integers times `scale`,
@@ -345,6 +354,7 @@ def factorials_greedy_oracle(tree: RootedTree, n_max: int) -> FactorialSequence:
         raise StructureError("n_max must be >= 0")
     if not isinstance(tree, RootedTree):
         raise StructureError("the greedy oracle needs an explicit tree; expand a generated source first")
+    _check_listable(tree, n_max)
     parents, leaves = tree.parents, tree.leaves
     L, scale = len(leaves), tree.length_scale()
     # size[v]: leaves below v; [lo[v], lo[v] + size[v]) is their depth-first range.

@@ -42,7 +42,8 @@ class StructureError(TreeFactorialError):
 
 
 class DepthBudgetExceeded(TreeFactorialError):
-    """A walk ran past sources.DEFAULT_BUDGET levels, or a truncation past as many vertices."""
+    """A walk ran past sources.DEFAULT_BUDGET levels, a truncation past as many
+    vertices, or a level past what a list holds."""
 
 
 class Exhausted(TreeFactorialError):

@@ -416,7 +416,8 @@ def branching_number_estimate(
             verdict = "inconclusive"
         evals.append((lam, verdict, last))
         if verdict == "inconclusive":
-            raise Inconclusive(f"resistance at lam={lam} neither settles nor diverges over the schedule")
+            raise Inconclusive(f"resistance at lam={format_length(lam)} neither settles nor "
+                               "diverges over the schedule")
         return verdict
 
     if classify(lo) == "divergent":

@@ -8,13 +8,14 @@ materializes children on demand under a safety budget.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
 
 from .errors import DepthBudgetExceeded, ParseError, StructureError
-from .trees import INF, Capacity, RootedTree, _denominator_lcm, parse_length
+from .trees import INF, Capacity, RootedTree, _denominator_lcm, _int_str, _str_int, parse_length
 
 __all__ = [
     "TreeSource",
@@ -98,8 +99,10 @@ class SphericalSource(TreeSource):
     def state_children(self, state, depth):
         k = depth % self._period
         if (kids := self._levels.get(k)) is None:
-            ln = self.lengths[k % len(self.lengths)]
-            kids = self._levels[k] = ((ln, None),) * self.branching[k % len(self.branching)]
+            ln, b = self.lengths[k % len(self.lengths)], self.branching[k % len(self.branching)]
+            if b > sys.maxsize:
+                raise DepthBudgetExceeded(f"depth {depth}: {_int_str(b)} children per vertex, more than a list holds")
+            kids = self._levels[k] = ((ln, None),) * b
         return kids
 
     def state_capacity(self, state, depth):
@@ -190,7 +193,7 @@ def _is_prime(n: int) -> bool:
             return False
     if n >= _MR_PROVEN_BELOW:
         raise StructureError(
-            f"cannot prove {n} prime: the test is a proof only below {_MR_PROVEN_BELOW}"
+            f"cannot prove {_int_str(n)} prime: the test is a proof only below {_MR_PROVEN_BELOW}"
         )
     return True
 
@@ -221,14 +224,14 @@ def _val(p: int, x: int) -> int:
 def _check_modulus(p) -> None:
     """StructureError unless p is an integer >= 2."""
     if not isinstance(p, int) or p < 2:
-        raise StructureError(f"modulus must be an integer >= 2, got {p!r}")
+        raise StructureError(f"modulus must be an integer >= 2, got {_int_str(p) if isinstance(p, int) else repr(p)}")
 
 
 def _require_prime(n: int) -> None:
     """StructureError unless n is a proven prime; for a prime that comes
     from outside the program (CLI --p, the adelic spec)."""
     if not _is_prime(n):
-        raise StructureError(f"{n} is not prime")
+        raise StructureError(f"{_int_str(n)} is not prime")
 
 
 @dataclass(frozen=True)
@@ -402,6 +405,8 @@ def level_branching(source: TreeSource, depth: int) -> list[int] | None:
     """
     if (base := _spherical_base(source)) is None:
         return None
+    if depth > sys.maxsize:
+        raise DepthBudgetExceeded(f"depth {_int_str(depth)}: its levels would not fit in a list")
     levels = (list(base.branching) * (depth // len(base.branching) + 1))[:depth]
     return None if 0 in levels else levels
 
@@ -455,10 +460,10 @@ def parse_generator_spec(text: str) -> TreeSource:
     try:
         if kind == "regular":
             d, length = need("d", "length")
-            return RegularSource(int(d), parse_length(length))
+            return RegularSource(_str_int(d), parse_length(length))
         if kind == "spherical":
             b, length = need("b", "length")
-            branching = tuple(int(x) for x in b.split(","))
+            branching = tuple(_str_int(x) for x in b.split(","))
             lens = tuple(parse_length(x) for x in length.split(","))
             return SphericalSource(branching, lens)
         if kind == "lambda":
@@ -468,8 +473,8 @@ def parse_generator_spec(text: str) -> TreeSource:
             return LambdaScaledSource(parse_generator_spec(base[1:-1]), parse_length(lam))
         if kind == "adelic":
             p, elements = need("p", "set")
-            _require_prime(int(p))
-            return AdelicSetSource(tuple(int(x) for x in elements.split(",")), int(p))
+            _require_prime(q := _str_int(p))
+            return AdelicSetSource(tuple(_str_int(x) for x in elements.split(",")), q)
     except ValueError as exc:
         raise ParseError(f"bad value in generator spec: {exc}") from None
     raise ParseError(f"unknown generator kind {kind!r}")

@@ -70,7 +70,8 @@ class RootedTree:
         for v in range(1, n):
             p = self.parents[v]
             if not 0 <= p < v:
-                raise StructureError(f"node {v}: parent must be an earlier node, got {p}")
+                got = _int_str(p) if isinstance(p, int) else p
+                raise StructureError(f"node {v}: parent must be an earlier node, got {got}")
             ln = self.lengths[v]
             if not isinstance(ln, Fraction) or ln <= 0:
                 raise StructureError(f"node {v}: edge length must be a positive rational")
@@ -107,15 +108,6 @@ class RootedTree:
     @cached_property
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(len(self)) if self.is_leaf(v))
-
-    def root_path(self, v: int) -> list[int]:
-        """Vertices from the root down to v, inclusive."""
-        path = []
-        while v != -1:
-            path.append(v)
-            v = self.parents[v]
-        path.reverse()
-        return path
 
     @cached_property
     def addresses(self) -> tuple[tuple[int, ...], ...]:
@@ -191,7 +183,7 @@ def _str_int(text: str) -> int:
         return int(text)
     m = _INT.fullmatch(text)
     if m is None:
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+        raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
     digits = m.group(2).replace("_", "")
 
     def read(lo: int, hi: int) -> int:
@@ -260,11 +252,11 @@ def parse_tree_file(text: str) -> RootedTree:
         if len(tokens) < 3:
             raise ParseError("need at least 'node <id> parent=<id|->'", lineno)
         try:
-            node_id = int(tokens[1])
+            node_id = _str_int(tokens[1])
         except ValueError:
             raise ParseError(f"bad node id {tokens[1]!r}", lineno) from None
         if node_id != len(parents):
-            raise ParseError(f"node ids must be consecutive; expected {len(parents)}, got {node_id}", lineno)
+            raise ParseError(f"node ids must be consecutive; expected {len(parents)}, got {_int_str(node_id)}", lineno)
         fields: dict[str, str] = {}
         for tok in tokens[2:]:
             key, sep, value = tok.partition("=")
@@ -279,7 +271,7 @@ def parse_tree_file(text: str) -> RootedTree:
                 raise ParseError("root must not have a length", lineno)
         else:
             try:
-                parent = int(fields["parent"])
+                parent = _str_int(fields["parent"])
             except ValueError:
                 raise ParseError(f"bad parent {fields['parent']!r}", lineno) from None
             if "length" not in fields:

@@ -64,6 +64,16 @@ class FibonacciSource(TreeSource):
         return None
 
 
+def root_path(tree: RootedTree, v: int) -> list[int]:
+    """Vertices from the root down to v, inclusive."""
+    path = []
+    while v != -1:
+        path.append(v)
+        v = tree.parents[v]
+    path.reverse()
+    return path
+
+
 def prepend_root_edge(tree: RootedTree, length) -> RootedTree:
     """New root joined to the old one by a single edge of the given length."""
     n = len(tree.parents)

@@ -13,6 +13,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
+from helpers import root_path
 from treefactorials import INF, Exhausted, FactorialSequence, RootedTree, StructureError
 
 
@@ -153,7 +154,7 @@ def greedy_by_pairing(tree: RootedTree, n_max: int) -> FactorialSequence:
     if not isinstance(tree, RootedTree):
         raise StructureError("the greedy oracle needs an explicit tree; expand a generated source first")
     leaves = tree.leaves
-    paths = [tree.root_path(m) for m in leaves]
+    paths = [root_path(tree, m) for m in leaves]
     caps = [tree.capacities[m] for m in leaves]
     L = len(leaves)
     pair = [[Fraction(0)] * L for _ in range(L)]
@@ -186,7 +187,7 @@ def greedy_by_pairing(tree: RootedTree, n_max: int) -> FactorialSequence:
 
 def _leaf_pairings(tree):
     leaves = [v for v in range(len(tree.parents)) if not tree.children[v]]
-    paths = [tree.root_path(m)[1:] for m in leaves]
+    paths = [root_path(tree, m)[1:] for m in leaves]
     pair = {}
     for i, pi in enumerate(paths):
         for j, pj in enumerate(paths):

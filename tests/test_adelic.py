@@ -57,6 +57,15 @@ class TestLegendre:
             with pytest.raises(StructureError, match=re.escape(f"modulus must be an integer >= 2, got {p!r}")):
                 legendre(10, p)
 
+    def test_huge_bad_modulus_is_named_in_full(self):
+        # Past the interpreter's int-string digit cap, as a CLI value can be.
+        p = -(10**5000)
+        want = "modulus must be an integer >= 2, got -1" + "0" * 5000
+        for call in (lambda: legendre(5, p), lambda: AdelicSetSource((0, 1), p)):
+            with pytest.raises(StructureError) as exc:
+                call()
+            assert str(exc.value) == want
+
 
 class TestAdelicTree:
     """The residue tree is the expansion of AdelicSetSource."""

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import argparse
+import contextlib
 import hashlib
 import io
 import os
@@ -526,7 +527,7 @@ HUGE = "1" + "0" * 400  # past the float range
 
 class TestDigitCap:
     """Exact values past the interpreter's 4,300-digit cap on int-string
-    conversion are read and printed in full, and the cap is restored."""
+    conversion are read and printed in full, and the cap is left as it is."""
 
     def test_resistance_past_the_cap(self, tmp_path):
         rng = random.Random(5)
@@ -550,7 +551,7 @@ class TestDigitCap:
         path.write_text(f"node 0 parent=-\nnode 1 parent=0 length={length} capacity=inf\n")
         assert run_cli("factorials", "--tree", str(path), "--n", "1") == (0, f"a_0 = 0\na_1 = {length}\n", "")
 
-    # 10**5000 + 7, 5,001 digits; these commands print it with str().
+    # 10**5000 + 7, 5,001 digits.
     BIG = "1" + "0" * 4999 + "7"
 
     def test_adelic_set_past_the_cap(self):
@@ -575,6 +576,164 @@ class TestDigitCap:
         code, out, err = run_cli("realize", "--d", "2", "--seq", str(path))
         assert (code, out) == (1, "")
         assert err == f"Mismatch: generation 2, position 1: first visit at 101{b[1:]}, wanted {b}00\n"
+
+
+@contextlib.contextmanager
+def digit_cap(limit: int):
+    """The interpreter's int-string digit cap set to `limit` inside the block."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestHugeIntegers:
+    """A 5,001-digit value in every integer option, generator spec field and
+    tree, sequence or orders file field, under the interpreter's default
+    4,300-digit int-string cap.  Every run exits 0, 1 or 2 with nothing
+    escaping main, and the outcomes match a pinned digest.  Left out are
+    runs whose work grows with the value itself: a huge --n, or --depth, on
+    an infinite generated source, and a huge --trials."""
+
+    BIG = "1" + "0" * 4999 + "7"  # 10**5000 + 7
+    # An even p, refused at once; proving 10**5000 + 7 composite takes seconds.
+    EVEN = "1" + "0" * 4999 + "8"
+    DIGEST = "ef451fd798576f946552038d98f7f969c49e4d67070c9139220dc08788dc15b5"
+
+    def files(self, tmp_path):
+        big, paths = self.BIG, {}
+        texts = {
+            "finite": "node 0 parent=-\nnode 1 parent=0 length=1 capacity=2\nnode 2 parent=0 length=1 capacity=1\n",
+            "grounded": "node 0 parent=-\nnode 1 parent=0 length=1 capacity=inf\nnode 2 parent=0 length=1 capacity=inf\n",
+            "lengths": f"node 0 parent=-\nnode 1 parent=0 length=1/{big} capacity=inf\n"
+            f"node 2 parent=0 length={big}/3 capacity=inf\n",
+            "capacity": f"node 0 parent=-\nnode 1 parent=0 length=1 capacity={big}\nnode 2 parent=0 length=1 capacity=inf\n",
+            "node_id": f"node 0 parent=-\nnode {big} parent=0 length=1\n",
+            "parent": f"node 0 parent=-\nnode 1 parent={big} length=1\n",
+            "negative_parent": f"node 0 parent=-\nnode 1 parent=-{big} length=1\n",
+            "seq": "0,1,0\n0,2,0\n1,1,2\n1,2,2\n",
+            "seq_generation": f"0,1,0\n0,2,0\n{big},1,2\n",
+            "seq_position": f"0,1,0\n0,2,0\n1,{big},2\n1,2,2\n",
+            "seq_values": f"0,1,0\n0,2,0\n1,1,{big}\n1,2,{big}\n",
+            "seq_biased": f"0,1,0\n0,2,0\n1,1,{big}\n1,2,{big}1\n",
+            "orders_generation": f"{big}: 0,1\n",
+            "orders_slot": f"1: 0,{big}\n",
+        }
+        for name, text in texts.items():
+            (path := tmp_path / name).write_text(text)
+            paths[name] = str(path)
+        return SimpleNamespace(**paths)
+
+    def inputs(self, f):
+        big, even = self.BIG, self.EVEN
+        for tree in (f.finite, f.grounded, f.lengths, f.capacity):
+            yield ("factorials", "--tree", tree, "--n", "3", "--csv")
+            yield ("oracle-check", "--tree", tree, "--n", "3", "--depth", big)
+            yield ("flow", "--tree", tree, "--depth", big, "--csv")
+        yield ("factorials", "--tree", f.finite, "--n", big)
+        yield ("factorials", "--tree", f.finite, "--n", "3", "--t", big)
+        yield ("factorials", "--tree", f.grounded, "--n", "3", "--seed", big, "--trace")
+        yield ("factorials", "--tree", f.grounded, "--n", "3", "--seed", f"-{big}")
+        yield ("factorials", "--tree", f.grounded, "--n", f"-{big}")
+        yield ("factorials", "--tree", f.grounded, "--n", f"{big}x")
+        yield ("oracle-check", "--tree", f.finite, "--n", big)
+        yield ("oracle-check", "--gen", "regular d=2", "--n", "2", "--depth", f"-{big}")
+        yield ("adelic", "--set", "0,1,2", "--n", big)
+        yield ("adelic", "--set", "0,1,2", "--n", "1", "--p", even)
+        yield ("adelic", "--set", "0,1,2", "--n", "1", "--p", f"-{big}")
+        yield ("adelic", "--set", f"0,{big}", "--n", "1", "--csv")
+        yield ("adelic", "--set", f"0,{big}", "--n", "1", "--p", "7")
+        yield ("adelic", "--set", f"-{big},0,3", "--n", "2")
+        yield ("flow", "--tree", f.grounded, "--trials", f"-{big}")
+        yield ("flow", "--tree", f.grounded, "--trials", "10", "--seed", big)
+        yield ("flow", "--tree", f.lengths)
+        yield ("branching", "--tree", f.grounded, "--lambda-lo", "1", "--lambda-hi", "3", "--depth", big)
+        yield ("branching", "--gen", "regular d=2", "--lambda-lo", "1", "--lambda-hi", big)
+        yield ("branching", "--gen", "regular d=2", "--lambda-lo", "1", "--lambda-hi", "3", "--tol", f"1/{big}")
+        yield ("equidist", "--tree", f.finite, "--n", big)
+        yield ("equidist", "--tree", f.grounded, "--n", "3", "--seed", big)
+        yield ("equidist", "--tree", f.grounded, "--n", "3", "--depth", big, "--csv")
+        yield ("factorials", "--gen", f"regular d=2 length={big}", "--n", "3", "--csv")
+        yield ("flow", "--gen", f"spherical b=2,{big}", "--depth", "1")
+        yield ("flow", "--gen", f"spherical b=2 length=1,{big}", "--depth", "2")
+        yield ("flow", "--gen", f"lambda base=(regular d=2) lambda={big}", "--depth", "2")
+        yield ("factorials", "--gen", f"adelic p={even} set=0,1", "--n", "1")
+        yield ("factorials", "--gen", f"adelic p=2 set=0,{big}", "--n", "1")
+        yield ("flow", "--gen", f"adelic p=3 set=0,{big},1", "--depth", "3")
+        yield ("factorials", "--gen", f"regular d=x{big}", "--n", "1")
+        for tree in (f.node_id, f.parent, f.negative_parent):
+            yield ("factorials", "--tree", tree, "--n", "1")
+        for seq in (f.seq_generation, f.seq_position, f.seq_values, f.seq_biased):
+            yield ("realize", "--d", "2", "--seq", seq, "--verify")
+        for orders in (f.orders_generation, f.orders_slot):
+            yield ("realize", "--d", "2", "--seq", f.seq, "--orders", orders)
+
+    def test_outcomes_match_the_pinned_digest(self, tmp_path):
+        outcomes = []
+        with digit_cap(4300):
+            for argv in self.inputs(self.files(tmp_path)):
+                outcome = run_cli_exit(*argv)
+                assert outcome[0] in (0, 1, 2) and "Traceback" not in outcome[2]
+                outcomes.append(repr(outcome))
+        assert len(outcomes) == 52
+        assert sum(o.startswith("(0, ") for o in outcomes) == 32
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+    def test_commands_keep_the_callers_cap(self, monkeypatch):
+        # main changes no process-wide setting: the library runs under the
+        # cap its caller chose.
+        seen = []
+        weighting = cli.factorials_weighting
+
+        def spy(*args, **kwargs):
+            seen.append(sys.get_int_max_str_digits())
+            return weighting(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "factorials_weighting", spy)
+        with digit_cap(5000):
+            assert run_cli("factorials", "--gen", "regular d=2", "--n", "2")[0] == 0
+        assert seen == [5000]
+
+    def test_infinite_explicit_tree_past_any_list(self, tmp_path):
+        path = tmp_path / "grounded.tree"
+        path.write_text(serialize_tree(helpers.two_leaf_star()))
+        want = f"IndexOutOfRange: requested index {self.BIG}: the terms would not fit in a list\n"
+        for argv in (("factorials",), ("factorials", "--t", "1"), ("oracle-check",)):
+            with digit_cap(4300), helpers.deadline(5):
+                assert run_cli(*argv, "--tree", str(path), "--n", self.BIG) == (1, "", want)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factorials", "--n", "1"),
+            ("oracle-check", "--depth", "1", "--n", "1"),
+            ("flow", "--depth", "1"),
+            ("equidist", "--depth", "1", "--n", "1"),
+            ("branching", "--lambda-lo", "1", "--lambda-hi", "3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_branching_value_past_any_list(self, argv):
+        want = f"DepthBudgetExceeded: depth 0: {self.BIG} children per vertex, more than a list holds\n"
+        with digit_cap(4300):
+            assert run_cli(argv[0], "--gen", f"regular d={self.BIG}", *argv[1:]) == (1, "", want)
+
+    def test_branching_depth_past_any_list(self):
+        want = f"DepthBudgetExceeded: depth {self.BIG}: its levels would not fit in a list\n"
+        with digit_cap(4300):
+            assert run_cli(
+                "branching", "--gen", "regular d=2", "--lambda-lo", "1", "--lambda-hi", "3", "--depth", self.BIG
+            ) == (1, "", want)
+
+    def test_realize_width_past_any_list(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("0,1,0\n0,2,0\n1,1,2\n1,2,2\n")
+        want = f"ParseError: generation 0 needs positions 1..{self.BIG}\n"
+        with digit_cap(4300):
+            assert run_cli("realize", "--d", self.BIG, "--seq", str(path)) == (1, "", want)
 
 
 class TestFloatRange:

@@ -100,6 +100,8 @@ class TestKnownSequences:
             factorials_greedy_oracle(helpers.two_leaf_star(), -1)
         with pytest.raises(StructureError):
             factorials_weighting(RegularSource(2), -1)
+        with pytest.raises(StructureError):
+            factorials_minmax(helpers.two_leaf_star(), -1)
 
 
 class TestCapacityBound:
@@ -689,6 +691,21 @@ class TestMinmaxOnSources:
         with pytest.raises(IndexOutOfRange) as exc:
             factorials_minmax(helpers.two_leaf_star(), 10**5000)
         assert str(exc.value) == "requested index 1" + "0" * 5000 + ": a leaf's terms would not fit in a list"
+
+    def test_explicit_tree_past_any_list(self):
+        # The weighting run, its removed variant and the greedy oracle refuse
+        # at once, as the min-max does, where they would append terms forever.
+        removed = lambda tree, n: factorials_removed(tree, 1, n)  # noqa: E731
+        for run in (factorials_weighting, removed, factorials_greedy_oracle):
+            with helpers.deadline(2), pytest.raises(IndexOutOfRange) as exc:
+                run(helpers.two_leaf_star(), 10**5000)
+            assert str(exc.value) == "requested index 1" + "0" * 5000 + ": the terms would not fit in a list"
+        # A finite tree keeps its outcomes: its N terms, or Exhausted.
+        t = helpers.star([1, 2], [1, 2])
+        assert factorials_weighting(t, 10**5000).sequence == factorials_weighting(t, 2).sequence
+        for run in (removed, factorials_greedy_oracle):
+            with pytest.raises(Exhausted, match="after 3 terms"):
+                run(t, 10**5000)
 
     def test_walk_past_the_depth_budget(self, monkeypatch):
         monkeypatch.setattr(sources, "DEFAULT_BUDGET", 50)

@@ -57,7 +57,7 @@ class TestConstruction:
 
     def test_root_path_and_length(self):
         t = helpers.path_tree([1, Fraction(3, 2), 2])
-        assert t.root_path(3) == [0, 1, 2, 3]
+        assert helpers.root_path(t, 3) == [0, 1, 2, 3]
 
     def test_addresses_follow_child_order(self):
         t = helpers.binary_tree(2)
@@ -235,6 +235,11 @@ class TestDigitCap:
         tree = parse_tree_file(text)
         assert tree.lengths[1] == Fraction(10**5000 + 1, 3) and tree.capacities[1] == 10**5000 + 1
         assert serialize_tree(tree) == text
+
+    def test_huge_parent_is_named_in_full(self):
+        with pytest.raises(StructureError) as exc:
+            RootedTree((-1, 10**5000), (None, Fraction(1)), (None, 1))
+        assert str(exc.value) == "node 1: parent must be an earlier node, got 1" + "0" * 5000
 
     @pytest.mark.parametrize("text", ["1" * 5000 + "x", "1_" * 3000, "--" + "1" * 5000, "1" * 5000 + "/0"])
     def test_malformed_long_value_is_a_value_error(self, text):
