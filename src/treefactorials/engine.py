@@ -24,7 +24,7 @@ from math import lcm
 from operator import add
 
 from . import sources
-from .errors import DepthBudgetExceeded, Exhausted, IndexOutOfRange, StructureError
+from .errors import Exhausted, IndexOutOfRange, StructureError
 from .sequences import FactorialSequence
 from .trees import INF, RootedTree, _int_str
 
@@ -115,10 +115,10 @@ def _grown(scale: int, den: int) -> int:
 
 
 def _check_listable(source, n_max: int) -> None:
-    """IndexOutOfRange when an explicit tree's terms up to n_max would not fit
-    in a list: n_max and its bound N are both past sys.maxsize.  A lazy
-    source is not checked."""
-    if n_max >= sys.maxsize and isinstance(source, RootedTree) and capacity_bound(source) > sys.maxsize:
+    """IndexOutOfRange when the terms up to n_max may not fit in a list:
+    n_max is past sys.maxsize on a lazy source, whose bound N is not known up
+    front, or on an explicit tree whose N is past it too."""
+    if n_max >= sys.maxsize and (not isinstance(source, RootedTree) or capacity_bound(source) > sys.maxsize):
         raise IndexOutOfRange(f"requested index {_int_str(n_max)}: the terms would not fit in a list")
 
 
@@ -312,7 +312,9 @@ def factorials_weighting(source, n_max: int, policy=None, *, record_trace: bool 
 
     `source` is a RootedTree or any TreeSource; lazily generated trees are
     materialized only as far as the process reaches, at most
-    sources.DEFAULT_BUDGET levels deep.
+    sources.DEFAULT_BUDGET levels deep.  An n_max past sys.maxsize raises
+    IndexOutOfRange at once on a lazy source, and on an explicit tree whose
+    N is past it too.
     """
     return _run_weighting(source, n_max, policy, 0, record_trace)
 
@@ -411,8 +413,9 @@ def factorials_minmax(source, n_max: int) -> FactorialSequence:
     starts at a_0 = 0, a consumed head b gives way to the bound b + length,
     and a child's next term is pulled only when its bound is the least head.
     Independent of the weighting engine.  Raises IndexOutOfRange when
-    n_max >= N or a leaf's n_max + 1 terms would not fit in a list,
-    DepthBudgetExceeded past sources.DEFAULT_BUDGET levels.
+    n_max >= N, when a leaf's n_max + 1 terms would not fit in a list, or at
+    once when n_max >= sys.maxsize on a lazy source; DepthBudgetExceeded
+    past sources.DEFAULT_BUDGET levels.
     """
     terms, scale = _minmax(source, n_max)
     return FactorialSequence(tuple(Fraction(v, scale) for v in terms))
@@ -422,6 +425,9 @@ def _minmax(source, n_max: int) -> tuple[list[int], int]:
     """The terms of factorials_minmax times a scale, and the scale."""
     if n_max < 0:
         raise StructureError("n_max must be >= 0")
+    if not isinstance(source, RootedTree):
+        # An explicit tree meets the leaf check below or runs out of terms.
+        _check_listable(source, n_max)
     if n_max and sources._is_ray(source):
         raise StructureError(_RAY)
     keep, scale, zeros = n_max + 1, source.length_scale() or 1, {}
@@ -438,33 +444,25 @@ def _minmax(source, n_max: int) -> tuple[list[int], int]:
 
     root = node((source.root_state(), 0))
     # (node, terms it must have), each node above the one it waits on.
-    stack, last_len = [(root, keep)], None
+    stack = [(root, keep)]
     while stack:
         x, want = stack[-1]
         if x.runs is None:
             state, d = x.key
             k = source.state_whole_levels(state, d)
-            kids, d = ([(k - 1, state)], d + k - 1) if k > 1 else (source.state_children(state, d), d + 1)
-            # Equal children at equal lengths merge into one run.  Lazy sources
-            # hand out one length object per level or per tree.
-            x.terms, x.runs, x.heap, run_of = [], [], [], {}
-            for ln, child in kids:
-                if ln is not last_len:
-                    if scale % ln.denominator:
-                        # Grow as the engine does; every stored integer follows.
-                        f = _grown(scale, ln.denominator) // scale
-                        scale *= f
-                        for y in nodes.values():
-                            if y.runs:
-                                y.terms[:] = [t * f for t in y.terms]
-                                y.runs[:] = [(b * f, c, m) for b, c, m in y.runs]
-                                y.heap[:] = [(b * f, *rest) for b, *rest in y.heap]
-                    last_len, scaled = ln, ln.numerator * (scale // ln.denominator)
-                if (r := run_of.get((scaled, child))) is None:
-                    run_of[scaled, child] = len(x.runs)
-                    x.runs.append((scaled, nodes.get(key := (child, d)) or node(key), 1))
-                else:
-                    x.runs[r] = (scaled, x.runs[r][1], x.runs[r][2] + 1)
+            runs, d = ([(k - 1, state, 1)], d + k - 1) if k > 1 else (sources._runs(source, state, d), d + 1)
+            x.terms, x.runs, x.heap = [], [], []
+            for ln, child, m in runs:
+                if scale % ln.denominator:
+                    # Grow as the engine does; every stored integer follows.
+                    f = _grown(scale, ln.denominator) // scale
+                    scale *= f
+                    for y in nodes.values():
+                        if y.runs:
+                            y.terms[:] = [t * f for t in y.terms]
+                            y.runs[:] = [(b * f, c, m) for b, c, m in y.runs]
+                            y.heap[:] = [(b * f, *rest) for b, *rest in y.heap]
+                x.runs.append((ln.numerator * (scale // ln.denominator), nodes.get(key := (child, d)) or node(key), m))
             x.heap += [(0, 0, r, 0) for r in range(len(x.runs))]
         # Heads (value or bound, pending, run, k): a value sorts before an equal bound.
         terms, heap, runs, wait = x.terms, x.heap, x.runs, None
@@ -487,8 +485,6 @@ def _minmax(source, n_max: int) -> tuple[list[int], int]:
                 break
         if wait is None:
             stack.pop()
-        elif len(stack) > sources.DEFAULT_BUDGET:
-            raise DepthBudgetExceeded(f"expansion past depth {sources.DEFAULT_BUDGET}")
         else:
             stack.append(wait)
     if len(root.terms) < keep:

@@ -21,6 +21,7 @@ Carlo estimates and in the final bisection report.
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,8 +29,9 @@ from functools import cached_property
 from itertools import accumulate, islice
 from operator import itemgetter
 
+from . import sources
 from .engine import WeightingRun
-from .errors import AllOpenCircuit, Inconclusive, StructureError
+from .errors import AllOpenCircuit, DepthBudgetExceeded, Inconclusive, StructureError
 from .sources import LambdaScaledSource, TreeSource, _dag, _unroll, level_branching
 from .trees import INF, RootedTree, _float, _int_str, format_length
 
@@ -96,7 +98,11 @@ class ResistanceResult:
 
 def effective_resistance(source: TreeSource | RootedTree, depth: int) -> ResistanceResult:
     """Exact resistance between the root and the grounded boundary of the
-    depth-truncation.  Raises AllOpenCircuit when no leaf is grounded."""
+    depth-truncation.  Raises AllOpenCircuit when no leaf is grounded, and
+    DepthBudgetExceeded past sources.DEFAULT_BUDGET levels, one value each."""
+    if depth > sources.DEFAULT_BUDGET:
+        raise DepthBudgetExceeded(f"depth {_int_str(depth)}: one resistance per level, past the budget of "
+                                  f"{sources.DEFAULT_BUDGET} levels")
     fl = unit_current_flow(source, depth)
     dag = order, _, _ = fl.network[0]
     # Shallower truncations of a grounded one are grounded too; from the
@@ -294,6 +300,8 @@ def _walk(tree: RootedTree, trials: int, seed: int) -> WalkResult:
     """random_walk_escape on an already grounded truncation."""
     if trials < 1:
         raise StructureError("trials must be >= 1")
+    if trials > sys.maxsize:
+        raise StructureError(f"trials must be <= {sys.maxsize}, got {_int_str(trials)}")
     _root_edges(tree)
     # A vertex's neighbors are its parent, then its children; an edge's
     # conductance is 1 over the length into its deeper end, taken relative to

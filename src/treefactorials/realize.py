@@ -4,9 +4,10 @@ Input: a generation-indexed table of target values, strongly increasing
 between generations (sufficiently biased).  Output: a rooted tree in which
 every non-leaf vertex has the same number d of children and whose weighting
 process visits each vertex for the first time at exactly the prescribed
-value.  For d = 2 the full emitted sequence equals the flattened input; for
-d >= 3 later visits of a vertex interleave inside a generation window, so
-the roundtrip check compares first-visit values.
+value.  The roundtrip check compares first-visit values: repeat visits of a
+vertex can interleave inside a generation window, at any d (d = 2 with
+generation 1 at 4, 9 emits 0, 0, 4, 8, 9), so the full emitted sequence need
+not equal the flattened input.
 """
 
 from __future__ import annotations
@@ -173,8 +174,9 @@ class RoundtripReport:
     first_visits[n] lists the realized first-visit values of generation n in
     processing order; they equal the input groups whenever this report is
     returned (a discrepancy raises Mismatch instead).  full_prefix_match
-    additionally states whether the raw emitted sequence equals the
-    flattened input, which holds exactly when d = 2.
+    additionally states whether the run's first terms equal the flattened
+    input; a repeat visit below a later first visit, possible at any d,
+    makes it False.
     """
 
     tree: RootedTree

@@ -278,11 +278,26 @@ class AdelicSetSource(TreeSource):
         return 1
 
 
+def _runs(source: TreeSource | RootedTree, state, depth: int) -> list:
+    """A non-leaf node's children as (length, child state, multiplicity) runs,
+    equal consecutive children merged; DepthBudgetExceeded at DEFAULT_BUDGET levels."""
+    if depth >= DEFAULT_BUDGET:
+        raise DepthBudgetExceeded(f"expansion past depth {DEFAULT_BUDGET}")
+    runs = []
+    for ln, child in source.state_children(state, depth):
+        # The child state first, as explicit-tree ids always differ; `is` spares a shared length Fraction's ==.
+        if runs and runs[-1][1] == child and (runs[-1][0] is ln or runs[-1][0] == ln):
+            runs[-1] = (ln, child, runs[-1][2] + 1)
+        else:
+            runs.append((ln, child, 1))
+    return runs
+
+
 def _dag(source: TreeSource | RootedTree, depth: int):
     """The truncation at `depth` as a DAG of (state, depth) nodes: (nodes
-    breadth first, runs, caps).  runs[node] groups equal consecutive children
-    as (length, child node, multiplicity), () at a leaf; caps[node] is a
-    leaf's capacity, inf where the truncation cuts."""
+    breadth first, runs, caps).  runs[node] holds the node's `_runs` with
+    child nodes for child states, () at a leaf; caps[node] is a leaf's
+    capacity, inf where the truncation cuts."""
     root = (source.root_state(), 0)
     order, runs, caps = [root], {root: ()}, {}
     for node in order:
@@ -291,13 +306,8 @@ def _dag(source: TreeSource | RootedTree, depth: int):
         if cap is not None or d == depth:
             caps[node] = INF if cap is None else cap
             continue
-        runs[node] = kids = []
-        for ln, child in source.state_children(state, d):
-            # The child state first: on an explicit tree, ids always differ.
-            if kids and kids[-1][1][0] == child and kids[-1][0] == ln:
-                kids[-1] = (ln, kids[-1][1], kids[-1][2] + 1)
-                continue
-            kids.append((ln, c := (child, d + 1), 1))
+        runs[node] = kids = [(ln, (child, d + 1), m) for ln, child, m in _runs(source, state, d)]
+        for _, c, _ in kids:
             if c not in runs:
                 runs[c] = ()
                 order.append(c)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from treefactorials import INF, cli, flow, format_length, parse_tree_file, serialize_tree
+from treefactorials import INF, cli, flow, format_length, parse_tree_file, serialize_tree, sources
 from treefactorials.cli import build_parser, main
 from treefactorials.realize import BiasedSequence, verify_roundtrip
 
@@ -593,9 +593,9 @@ class TestHugeIntegers:
     """A 5,001-digit value in every integer option, generator spec field and
     tree, sequence or orders file field, under the interpreter's default
     4,300-digit int-string cap.  Every run exits 0, 1 or 2 with nothing
-    escaping main, and the outcomes match a pinned digest.  Left out are
-    runs whose work grows with the value itself: a huge --n, or --depth, on
-    an infinite generated source, and a huge --trials."""
+    escaping main, and the outcomes match a pinned digest.  Runs whose work
+    grew with the value itself, a huge --n or --depth on an infinite
+    generated source and a huge --trials, have their own test below."""
 
     BIG = "1" + "0" * 4999 + "7"  # 10**5000 + 7
     # An even p, refused at once; proving 10**5000 + 7 composite takes seconds.
@@ -681,6 +681,23 @@ class TestHugeIntegers:
         assert sum(o.startswith("(0, ") for o in outcomes) == 32
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
         assert digest == self.DIGEST
+
+    def test_walks_that_grew_with_the_value_refuse(self, monkeypatch):
+        big = self.BIG
+        with digit_cap(4300), helpers.deadline(5):
+            assert run_cli("factorials", "--gen", "regular d=2", "--n", big) == (
+                1, "", f"IndexOutOfRange: requested index {big}: the terms would not fit in a list\n"
+            )
+            assert run_cli("flow", "--gen", "regular d=2", "--depth", "2", "--trials", big) == (
+                1, "", f"StructureError: trials must be <= {sys.maxsize}, got {big}\n"
+            )
+            # The DAG walk stops at the level budget, made small here: at
+            # 10^6 levels it takes seconds and hundreds of MB.
+            monkeypatch.setattr(sources, "DEFAULT_BUDGET", 50)
+            for argv in (("flow",), ("oracle-check", "--n", "1"), ("equidist", "--n", "1")):
+                assert run_cli(*argv, "--gen", "regular d=2", "--depth", big) == (
+                    1, "", "DepthBudgetExceeded: expansion past depth 50\n"
+                )
 
     def test_commands_keep_the_callers_cap(self, monkeypatch):
         # main changes no process-wide setting: the library runs under the

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -706,6 +707,20 @@ class TestMinmaxOnSources:
         for run in (removed, factorials_greedy_oracle):
             with pytest.raises(Exhausted, match="after 3 terms"):
                 run(t, 10**5000)
+
+    def test_lazy_source_past_any_list(self):
+        # A lazy source's N is not known up front, so an index past
+        # sys.maxsize is refused at once, on a finite source too.
+        removed = lambda source, n: factorials_removed(source, 1, n)  # noqa: E731
+        want = "requested index 1" + "0" * 5000 + ": the terms would not fit in a list"
+        for source in (RegularSource(2), SphericalSource((2, 0))):
+            for run in (factorials_weighting, removed, factorials_minmax):
+                with helpers.deadline(2), pytest.raises(IndexOutOfRange) as exc:
+                    run(source, 10**5000)
+                assert str(exc.value) == want
+        with pytest.raises(IndexOutOfRange, match=f"^requested index {sys.maxsize}: "):
+            factorials_weighting(RegularSource(2), sys.maxsize)
+        assert factorials_weighting(SphericalSource((2, 0)), 5).sequence.values == (0, 0)
 
     def test_walk_past_the_depth_budget(self, monkeypatch):
         monkeypatch.setattr(sources, "DEFAULT_BUDGET", 50)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from treefactorials import (
     INF,
     AdelicSetSource,
     AllOpenCircuit,
+    DepthBudgetExceeded,
     Inconclusive,
     LambdaScaledSource,
     RegularSource,
@@ -32,6 +34,7 @@ from treefactorials import (
     random_walk_escape,
     unit_current_flow,
 )
+from treefactorials import sources
 
 F = Fraction
 
@@ -52,6 +55,20 @@ class TestEffectiveResistance:
         assert effective_resistance(RegularSource(2), 4).per_depth == (
             F(1, 2), F(3, 4), F(7, 8), F(15, 16),
         )
+
+    def test_depth_past_the_budget(self, monkeypatch):
+        # per_depth holds one value per level, so a depth past the level
+        # budget is refused before any walk, not padded into a huge tuple.
+        tree = RootedTree.build([-1, 0], [0, 1], {1: INF})
+        with helpers.deadline(2), pytest.raises(DepthBudgetExceeded) as exc:
+            effective_resistance(tree, 10**20)
+        assert str(exc.value) == (
+            "depth 100000000000000000000: one resistance per level, past the budget of 1000000 levels"
+        )
+        monkeypatch.setattr(sources, "DEFAULT_BUDGET", 5)
+        assert effective_resistance(tree, 5).per_depth == (1,) * 5
+        with pytest.raises(DepthBudgetExceeded, match="^depth 6: "):
+            effective_resistance(tree, 6)
 
     def test_per_depth_monotone(self):
         rng = random.Random(11)
@@ -337,6 +354,12 @@ class TestEscape:
     def test_walk_needs_a_trial(self, trials):
         with pytest.raises(StructureError):
             random_walk_escape(RegularSource(2), 3, trials=trials, seed=1)
+
+    def test_trials_past_any_count(self):
+        # Refused before the walk, which would loop range(trials) for ever.
+        with helpers.deadline(2), pytest.raises(StructureError) as exc:
+            random_walk_escape(RegularSource(2), 2, 10**5000, 0)
+        assert str(exc.value) == f"trials must be <= {sys.maxsize}, got 1" + "0" * 5000
 
     def test_timeouts_reported(self, monkeypatch):
         monkeypatch.setattr(flow, "_MAX_STEPS", 2)

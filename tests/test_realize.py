@@ -206,6 +206,10 @@ class TestRoundtrip:
     def test_depth_one(self):
         rep = verify_roundtrip(BiasedSequence(2, ((0, 0), (10, 12))))
         assert rep.full_prefix_match and rep.coherent
+        # At d = 2 as well a repeat visit can come before the last first
+        # visit: the run emits 0, 0, 4, 8, 9, so only the first visits match.
+        rep = verify_roundtrip(BiasedSequence(2, ((0, 0), (4, 9))))
+        assert not rep.full_prefix_match and rep.coherent
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_binary_staircase_full_prefix(self, depth):

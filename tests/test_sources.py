@@ -24,6 +24,7 @@ from treefactorials import (
     engine,
     expand,
     factorials_minmax,
+    factorials_prime,
     factorials_removed,
     factorials_weighting,
     parse_generator_spec,
@@ -323,6 +324,41 @@ def test_one_budget_bounds_every_walk(monkeypatch):
     late = BiasedSequence(2, ((0, 0), (1, 1000)))
     with pytest.raises(Mismatch, match=r"never selected within 20 steps \(at most 20\)$"):
         verify_roundtrip(late)
+
+
+def test_flow_walk_stops_at_the_level_budget(monkeypatch):
+    # The flow DAG expands its nodes as the min-max does, so it stops where
+    # the lazy view does, whatever depth a query asks for.
+    monkeypatch.setattr(sources, "DEFAULT_BUDGET", 20)
+    assert unit_current_flow(RegularSource(2), 20).energy == 1 - Fraction(1, 2**20)
+    for depth in (sources.DEFAULT_BUDGET + 1, 10**5000):
+        with pytest.raises(DepthBudgetExceeded, match="^expansion past depth 20$"):
+            unit_current_flow(RegularSource(2), depth)
+
+
+def test_whole_level_chain_counts_its_levels(monkeypatch):
+    # The min-max crosses a class that stays whole for 30 levels as one run,
+    # and the split below it is at depth 30, inside a budget of 31 levels.
+    monkeypatch.setattr(sources, "DEFAULT_BUDGET", 31)
+    assert factorials_prime((0, 2**30), 2, 1).values == (0, 30)
+    monkeypatch.setattr(sources, "DEFAULT_BUDGET", 30)
+    with pytest.raises(DepthBudgetExceeded, match="^expansion past depth 30$"):
+        factorials_prime((0, 2**30), 2, 1)
+
+
+def test_walks_expand_through_one_run_rule(monkeypatch):
+    # expand and the min-max take every non-leaf node's runs from _runs;
+    # the min-max on a finite tree, to its last term, expands each once.
+    expanded, runs = [], sources._runs
+    monkeypatch.setattr(sources, "_runs", lambda src, state, d: expanded.append((state, d)) or runs(src, state, d))
+    expand(RunsSource(), 3)
+    assert expanded == [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
+    expanded.clear()
+    finite = RootedTree.build([-1, 0, 0, 1, 1, 2, 2], [0] + [1] * 6)
+    assert factorials_minmax(finite, 3).values == (0, 0, 1, 1)
+    assert sorted(expanded) == [(0, 0), (1, 1), (2, 1)]
+    # Only consecutive equal children merge, the child state compared first.
+    assert runs(RunsSource(), 0, 0) == [(1, 0, 2), (3, 0, 1), (2, 1, 1), (1, 0, 1)]
 
 
 def test_expand_refuses_more_vertices_than_the_budget(monkeypatch):
