@@ -240,8 +240,9 @@ def _cmd_realize(args) -> int:
 
 def _cmd_equidist(args) -> int:
     source, depth = _load_network(args)
-    run = factorials_weighting(source, args.n, _policy(args))
+    # The flow first: it refuses a depth past the budget before any walk.
     fl = flow_mod.unit_current_flow(source, depth)
+    run = factorials_weighting(source, args.n, _policy(args))
     report = flow_mod.equidistribution_check(run, fl)
     if args.csv:
         print("address,depth,omega_tilde,eta,deviation")

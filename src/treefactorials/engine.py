@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import lcm
-from operator import add
+from operator import add, index
 
 from . import sources
 from .errors import Exhausted, IndexOutOfRange, StructureError
@@ -45,8 +45,8 @@ __all__ = [
 class Canonical:
     """Deterministic tie-break: smallest node id wins."""
 
-    def key(self, v: int):
-        return v
+    # An id is its own key; operator.index returns it without a Python frame.
+    key = staticmethod(index)
 
 
 class SeededRandom:
@@ -139,31 +139,30 @@ def _run_weighting(source, n_max, policy, t, record_trace, exhaust_error=False) 
     scale = view.length_scale() or 1
     values: list = []
     trace: list[TraceStep] = []
-    weights: dict[int, int] = {}
+    # Weighted ids in the order they are weighted.
+    order: list[int] = []
 
-    def finish():
+    def finish(weights, children_of):
         if exhaust_error and len(values) < n_max + 1:
             raise Exhausted(f"all boundary elements at capacity after {len(values)} terms")
-        seq = FactorialSequence(tuple(Fraction(v, scale) for v in values))
+        seq = FactorialSequence.scaled(values, scale)
         return WeightingRun(seq, tuple(trace) if record_trace else None, weights, children_of)
 
     root_kids = view.children(0)
-    children_of = {0: root_kids}
     values.append(0)
     if record_trace:
         trace.append(TraceStep(0, 0, "init", Fraction(0)))
     if n_max == 0:
-        return finish()
+        return finish({}, {0: root_kids})
     if sources._is_ray(source):
         raise StructureError(_RAY)
 
     # Hierarchical argmin over lists indexed by node id.  A vertex enters
     # the lists when it is weighted: kids[v] is its children tuple, par[v]
     # its parent, elen[v] its edge length times `scale`, wt[v] the weight of
-    # that edge, and room[v] how often v itself can still be chosen: its
-    # count of unweighted children, or for a leaf its capacity minus its
-    # weight.  `weights` keeps the order vertices are weighted in and takes
-    # their final weights at the end.
+    # that edge, None until v is weighted, and room[v] how often v itself
+    # can still be chosen: its count of unweighted children, or for a leaf
+    # its capacity minus its weight.
     # up[v] is the least (score, key, id) triple over unsaturated vertices in
     # v's weighted subtree, with the score measured from v's parent (v's own
     # edge term included), or None when that subtree has none; key is the
@@ -186,6 +185,7 @@ def _run_weighting(source, n_max, policy, t, record_trace, exhaust_error=False) 
     length = view.length
     children = view.children
     key = policy.key
+    weighed = order.append
     size = root_kids[-1] + 1 if root_kids else 1
     kids: list = [None] * size
     par: list = [None] * size
@@ -223,7 +223,8 @@ def _run_weighting(source, n_max, policy, t, record_trace, exhaust_error=False) 
                 extra = [None] * (ks[-1] + 1)
                 for a in (kids, par, elen, room, up, wt):
                     a += extra
-            weights[cur] = wt[cur] = 1
+            weighed(cur)
+            wt[cur] = 1
             kids[cur] = ks
             par[cur] = prev
             L = length(cur)
@@ -286,7 +287,7 @@ def _run_weighting(source, n_max, policy, t, record_trace, exhaust_error=False) 
             room[x] -= 1
         elif room[x] < len(kx):
             case = "1"
-            weigh_chain(x, min([c for c in kx if c not in weights], key=key))
+            weigh_chain(x, min([c for c in kx if wt[c] is None], key=key))
         else:
             case = "2.1"
             # A pair is ordered without sort's per-call key list; both ask
@@ -301,10 +302,9 @@ def _run_weighting(source, n_max, policy, t, record_trace, exhaust_error=False) 
         settle(x)
         if record_trace:
             trace.append(TraceStep(n, x, case, value))
-    for v in weights:
-        weights[v] = wt[v]
-        children_of[v] = kids[v]
-    return finish()
+    children_of = {0: root_kids}
+    children_of.update(zip(order, map(kids.__getitem__, order)))
+    return finish(dict(zip(order, map(wt.__getitem__, order))), children_of)
 
 
 def factorials_weighting(source, n_max: int, policy=None, *, record_trace: bool = False) -> WeightingRun:
@@ -417,8 +417,7 @@ def factorials_minmax(source, n_max: int) -> FactorialSequence:
     once when n_max >= sys.maxsize on a lazy source; DepthBudgetExceeded
     past sources.DEFAULT_BUDGET levels.
     """
-    terms, scale = _minmax(source, n_max)
-    return FactorialSequence(tuple(Fraction(v, scale) for v in terms))
+    return FactorialSequence.scaled(*_minmax(source, n_max))
 
 
 def _minmax(source, n_max: int) -> tuple[list[int], int]:

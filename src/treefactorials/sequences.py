@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter, sub
@@ -17,6 +17,17 @@ class FactorialSequence:
     """Exact factorial terms a_0..a_{K-1}."""
 
     values: tuple[Fraction, ...]
+    # The values as (integer terms, scale) when built by `scaled`, for the
+    # diagnostics that work on integers.
+    _ints: tuple[tuple[int, ...], int] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def scaled(cls, terms, scale: int) -> FactorialSequence:
+        """The sequence of terms[i] / scale, for integer terms."""
+        terms = tuple(terms)
+        seq = cls(tuple(map(Fraction, terms)) if scale == 1 else tuple(Fraction(v, scale) for v in terms))
+        object.__setattr__(seq, "_ints", (terms, scale))
+        return seq
 
     def __len__(self) -> int:
         return len(self.values)
@@ -124,7 +135,7 @@ def limit_estimate(seq: FactorialSequence) -> LimitEstimate:
     # Quotients come from the scaled integers, so int terms give Fractions
     # too; the largest a_k/k is found by comparing a_k * j with a_j * k, so
     # no quotient is reduced until the last.
-    a, den = _scaled(values)
+    a, den = seq._ints or _scaled(values)
     value = Fraction(a[K], K * den)
     best = 1
     for k in range(2, K + 1):

@@ -297,7 +297,12 @@ def _dag(source: TreeSource | RootedTree, depth: int):
     """The truncation at `depth` as a DAG of (state, depth) nodes: (nodes
     breadth first, runs, caps).  runs[node] holds the node's `_runs` with
     child nodes for child states, () at a leaf; caps[node] is a leaf's
-    capacity, inf where the truncation cuts."""
+    capacity, inf where the truncation cuts.  `_runs` stops the walk at
+    DEFAULT_BUDGET levels; a source that never ends by construction (a
+    spherical base with no 0 branching value) is refused a depth past the
+    budget before the walk builds a level."""
+    if depth > DEFAULT_BUDGET and (base := _spherical_base(source)) is not None and 0 not in base.branching:
+        raise DepthBudgetExceeded(f"expansion past depth {DEFAULT_BUDGET}")
     root = (source.root_state(), 0)
     order, runs, caps = [root], {root: ()}, {}
     for node in order:
@@ -344,38 +349,67 @@ def expand(source: TreeSource, depth: int) -> RootedTree:
     return _unroll(_dag(source, depth))
 
 
+@dataclass(slots=True, eq=False)
+class _Record:
+    """One (state, depth) node of a LazyView: once built, its capacity and
+    its children's lengths and records, one entry per child (kids is None
+    until then)."""
+
+    state: object
+    depth: int
+    cap: Capacity | None = None
+    lens: tuple = ()
+    kids: tuple | None = None
+
+
 class LazyView:
     """Engine-facing view that materializes a source on demand.
 
     Node ids are assigned in materialization order (so parent < child), and
     each vertex's children are materialized once, on the one call that asks
-    for them.  Asking for children past DEFAULT_BUDGET levels raises
-    DepthBudgetExceeded rather than looping forever.
+    for them.  Vertices of one (state, depth) node share one record, built
+    through the run rule the first time such a vertex's children are asked
+    for, so children past DEFAULT_BUDGET levels raise DepthBudgetExceeded
+    rather than loop forever.  The records live as long as the view.
     """
 
     def __init__(self, source: TreeSource):
         self.source = source
-        self._lengths, self._depths, self._states = [None], [0], [source.root_state()]
+        root = _Record(source.root_state(), 0)
+        self._memo = {(root.state, 0): root}
+        # Per vertex id: its node's record and its edge length.
+        self._nodes, self._lengths = [root], [None]
+        self.length = self._lengths.__getitem__
+
+    def _build(self, rec: _Record) -> None:
+        state, d = rec.state, rec.depth
+        if (cap := self.source.state_capacity(state, d)) is not None:
+            rec.cap, rec.lens, rec.kids = cap, (), ()
+            return
+        lens, kids, memo = [], [], self._memo
+        for ln, child, m in _runs(self.source, state, d):
+            if (c := memo.get(key := (child, d + 1))) is None:
+                c = memo[key] = _Record(child, d + 1)
+            lens += (ln,) * m
+            kids += (c,) * m
+        rec.cap, rec.lens, rec.kids = None, tuple(lens), tuple(kids)
 
     def children(self, v: int) -> tuple[int, ...]:
-        d = self._depths[v]
-        state = self._states[v]
-        if self.source.state_capacity(state, d) is not None:
+        nodes = self._nodes
+        rec = nodes[v]
+        if (kids := rec.kids) is None:
+            self._build(rec)
+            kids = rec.kids
+        if not kids:
             return ()
-        if d >= DEFAULT_BUDGET:
-            raise DepthBudgetExceeded(f"expansion past depth {DEFAULT_BUDGET}")
-        start = len(self._depths)
-        for ln, child_state in self.source.state_children(state, d):
-            self._lengths.append(ln)
-            self._depths.append(d + 1)
-            self._states.append(child_state)
-        return tuple(range(start, len(self._depths)))
-
-    def length(self, v: int) -> Fraction:
-        return self._lengths[v]
+        start = len(nodes)
+        nodes += kids
+        self._lengths += rec.lens
+        return tuple(range(start, len(nodes)))
 
     def capacity(self, v: int) -> Capacity | None:
-        return self.source.state_capacity(self._states[v], self._depths[v])
+        rec = self._nodes[v]
+        return rec.cap if rec.kids is not None else self.source.state_capacity(rec.state, rec.depth)
 
     def length_scale(self) -> int | None:
         return self.source.length_scale()

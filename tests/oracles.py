@@ -14,7 +14,8 @@ from collections import deque
 from fractions import Fraction
 
 from helpers import root_path
-from treefactorials import INF, Exhausted, FactorialSequence, RootedTree, StructureError
+from treefactorials import INF, DepthBudgetExceeded, Exhausted, FactorialSequence, RootedTree, StructureError
+from treefactorials import sources
 
 
 class OracleExhausted(Exception):
@@ -479,3 +480,36 @@ def expand_by_queue(source, depth: int) -> RootedTree:
             caps.append(None)
             queue.append((len(parents) - 1, child_state, d + 1))
     return RootedTree(tuple(parents), tuple(lengths), tuple(caps))
+
+
+class PerVertexView:
+    """The lazy view vertex by vertex: every vertex asks the source for its
+    capacity and children, and its children past DEFAULT_BUDGET levels raise
+    DepthBudgetExceeded.  The reference for `sources.LazyView`, which shares
+    one record per (state, depth) node built through the run rule."""
+
+    def __init__(self, source):
+        self.source = source
+        self._lengths, self._depths, self._states = [None], [0], [source.root_state()]
+
+    def children(self, v: int) -> tuple[int, ...]:
+        d, state = self._depths[v], self._states[v]
+        if self.source.state_capacity(state, d) is not None:
+            return ()
+        if d >= sources.DEFAULT_BUDGET:
+            raise DepthBudgetExceeded(f"expansion past depth {sources.DEFAULT_BUDGET}")
+        start = len(self._depths)
+        for ln, child_state in self.source.state_children(state, d):
+            self._lengths.append(ln)
+            self._depths.append(d + 1)
+            self._states.append(child_state)
+        return tuple(range(start, len(self._depths)))
+
+    def length(self, v: int):
+        return self._lengths[v]
+
+    def capacity(self, v: int):
+        return self.source.state_capacity(self._states[v], self._depths[v])
+
+    def length_scale(self):
+        return self.source.length_scale()

@@ -699,6 +699,28 @@ class TestHugeIntegers:
                     1, "", "DepthBudgetExceeded: expansion past depth 50\n"
                 )
 
+    @pytest.mark.parametrize("spec", ["regular d=2", "lambda base=(regular d=2) lambda=3/2"])
+    def test_depth_past_the_budget_refused_before_any_walk(self, spec, monkeypatch):
+        # At the real budget: a source that never ends is refused up front,
+        # where the walk took seconds (regular) or ran out of memory (lambda).
+        walked = helpers.count_calls(monkeypatch, sources, "_runs")
+        want = (1, "", f"DepthBudgetExceeded: expansion past depth {sources.DEFAULT_BUDGET}\n")
+        with digit_cap(4300):
+            for argv in (("flow",), ("oracle-check", "--n", "1"), ("equidist", "--n", "1")):
+                assert run_cli(*argv, "--gen", spec, "--depth", self.BIG) == want
+        assert walked == []
+
+    def test_finite_sources_with_a_huge_depth_walk_to_their_end(self):
+        with digit_cap(4300):
+            for spec, height in (("spherical b=2,0", 1), ("adelic p=3 set=0,1,5,27", 4)):
+                assert run_cli("oracle-check", "--gen", spec, "--n", "1", "--depth", self.BIG) == (
+                    0, "OK: weighting == greedy == minmax\n", ""
+                )
+                for argv in (("flow",), ("equidist", "--n", "1")):
+                    assert run_cli(*argv, "--gen", spec, "--depth", self.BIG) == (
+                        1, "", f"AllOpenCircuit: no infinite-capacity leaf at truncation depth {height}\n"
+                    )
+
     def test_commands_keep_the_callers_cap(self, monkeypatch):
         # main changes no process-wide setting: the library runs under the
         # cap its caller chose.

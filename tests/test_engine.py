@@ -415,7 +415,8 @@ class TestTieBreakPolicies:
         run = factorials_weighting(RegularSource(2), n)
         assert list(run.sequence.values) == [k - bin(k).count("1") for k in range(n + 1)]
         # the root's children, then each weighted vertex's children once:
-        # the view has no memo, so a second call would number them again
+        # the view shares records per node but numbers fresh ids on every
+        # call, so a second call for one vertex would number them again
         assert len(calls) <= len(run.weights) + 1
         assert len({v for _, v in calls}) == len(calls)
 

@@ -16,6 +16,7 @@ from treefactorials import (
     FactorialSequence,
     RegularSource,
     StructureError,
+    factorials_minmax,
     factorials_removed,
     factorials_weighting,
     limit_estimate,
@@ -89,6 +90,26 @@ class TestContainer:
         assert len(s) == 3
         assert s[1] == F(1, 2)
         assert tuple(map(float, s)) == (0.0, 0.5, 2.0)
+
+    @given(st.lists(st.integers(-10**30, 10**30), max_size=20), st.integers(1, 10**6))
+    def test_scaled_equals_the_plain_sequence(self, terms, scale):
+        built = FactorialSequence.scaled(terms, scale)
+        plain = seq([F(v, scale) for v in terms])
+        assert built == plain and hash(built) == hash(plain)
+        assert repr(built) == repr(plain)
+        assert all(type(v) is F for v in built.values)
+
+    def test_limit_estimate_reads_the_kept_integers(self, monkeypatch):
+        calls = helpers.count_calls(monkeypatch, sequences, "_scaled")
+        terms = [n // 2 * 3 for n in range(101)]
+        kept = limit_estimate(FactorialSequence.scaled(terms, 4))
+        assert calls == []
+        assert kept == limit_estimate(seq([F(v, 4) for v in terms]))
+        assert len(calls) == 1
+        # The engine and the min-max build their sequences from integers.
+        for run in (factorials_weighting(RegularSource(2), 64).sequence, factorials_minmax(RegularSource(3), 64)):
+            limit_estimate(run)
+        assert len(calls) == 1
 
 
 class TestSuperadditivity:

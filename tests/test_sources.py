@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -33,7 +35,7 @@ from treefactorials import (
 )
 from treefactorials import sources
 from treefactorials.errors import DepthBudgetExceeded
-from treefactorials.sources import TreeSource, _dag, _is_ray, level_branching
+from treefactorials.sources import LazyView, TreeSource, _dag, _is_ray, level_branching
 
 
 class RunsSource(TreeSource):
@@ -373,3 +375,103 @@ def test_expand_refuses_more_vertices_than_the_budget(monkeypatch):
     assert len(expand(fib, 3)) == 11
     with pytest.raises(DepthBudgetExceeded, match="has 19 vertices"):
         expand(fib, 4)
+
+
+# Every lazy kind: equal children in one run, an ending level, a
+# non-integer lambda over an ending base, residue classes with shared leaf
+# states, and states reached from several parents or by another length.
+LAZY_KINDS = {
+    "regular": RegularSource(3, Fraction(2, 3)),
+    "spherical-ending": SphericalSource((2, 1, 3, 0), (Fraction(1, 2), Fraction(5))),
+    "lambda": LambdaScaledSource(SphericalSource((3, 1, 2, 0)), Fraction(5, 7)),
+    "lambda-regular": LambdaScaledSource(RegularSource(2), Fraction(3, 2)),
+    "adelic": AdelicSetSource((0, 1, 2, 3, 5, 8, 13, 21, 34, 55), 2),
+    "fibonacci": helpers.FibonacciSource(),
+    "runs": RunsSource(),
+}
+
+
+class TestLazyView:
+    """LazyView shares one record per (state, depth) node; the per-vertex
+    view of tests/oracles.py is its reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(LAZY_KINDS)), st.lists(st.integers(0, 10**6), max_size=40))
+    def test_matches_the_per_vertex_view(self, kind, picks):
+        source = LAZY_KINDS[kind]
+        view, ref = LazyView(source), oracles.PerVertexView(source)
+        # Ask for the children of a vertex not yet asked, chosen by each pick,
+        # and read every known vertex's capacity, asked or not.
+        frontier, seen = [0], 1
+        for pick in picks:
+            if not frontier:
+                break
+            v = frontier.pop(pick % len(frontier))
+            assert view.capacity(v) == ref.capacity(v)
+            kids = view.children(v)
+            assert kids == ref.children(v)
+            frontier += kids
+            seen += len(kids)
+            for c in kids:
+                assert view.length(c) == ref.length(c)
+        assert [view.capacity(v) for v in range(seen)] == [ref.capacity(v) for v in range(seen)]
+
+    @pytest.mark.parametrize("kind", sorted(LAZY_KINDS))
+    def test_weighting_runs_match_on_the_per_vertex_view(self, kind, monkeypatch):
+        source = LAZY_KINDS[kind]
+        got = factorials_weighting(source, 300, record_trace=True)
+        monkeypatch.setattr(sources, "view_of", oracles.PerVertexView)
+        ref = factorials_weighting(source, 300, record_trace=True)
+        assert (got.sequence, got.trace, got.weights, got.children) == (ref.sequence, ref.trace, ref.weights, ref.children)
+
+    @pytest.mark.parametrize("kind", sorted(LAZY_KINDS))
+    def test_reads_each_node_once(self, kind, monkeypatch):
+        source = LAZY_KINDS[kind]
+        calls = helpers.count_calls(monkeypatch, type(source), "state_children")
+        run = factorials_weighting(source, 2000)
+        nodes = [(state, d) for _, state, d in calls]
+        assert len(set(nodes)) == len(nodes)
+        assert len(nodes) < len(run.weights)
+
+    def test_one_read_per_level_of_a_spherical_source(self, monkeypatch):
+        calls = helpers.count_calls(monkeypatch, SphericalSource, "state_children")
+        run = factorials_weighting(RegularSource(2), 2**10)
+        assert [d for _, _, d in calls] == list(range(max(d for _, _, d in calls) + 1))
+        assert len(run.weights) > 2**10
+
+    def test_children_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(sources, "DEFAULT_BUDGET", 20)
+        for view in (LazyView(SphericalSource((1,) * 50 + (2,))), oracles.PerVertexView(SphericalSource((1,) * 50 + (2,)))):
+            assert [view.children(v) for v in range(20)] == [(v + 1,) for v in range(20)]
+            with pytest.raises(DepthBudgetExceeded, match="^expansion past depth 20$"):
+                view.children(20)
+        # A leaf at the budget has no children to refuse.
+        view = LazyView(SphericalSource((1,) * 20 + (0,)))
+        assert [view.children(v) for v in range(21)] == [(v + 1,) for v in range(20)] + [()]
+        assert view.capacity(20) == 1
+
+
+class TestDepthPastTheBudget:
+    """A depth past the budget on a source that never ends is refused before
+    the DAG walk builds a level; finite sources walk to their end."""
+
+    @pytest.mark.parametrize(
+        "source", [RegularSource(2), LambdaScaledSource(RegularSource(2), Fraction(3, 2)), SphericalSource((1, 3))]
+    )
+    def test_infinite_source_refused_before_any_run(self, source, monkeypatch):
+        walked = helpers.count_calls(monkeypatch, sources, "_runs")
+        for depth in (sources.DEFAULT_BUDGET + 1, 10**5000):
+            for walk in (expand, unit_current_flow):
+                with pytest.raises(DepthBudgetExceeded, match=f"^expansion past depth {sources.DEFAULT_BUDGET}$"):
+                    walk(source, depth)
+        assert walked == []
+
+    def test_finite_sources_walk_to_their_end(self):
+        big = 10**5000
+        assert expand(SphericalSource((2, 0)), big) == expand(SphericalSource((2, 0)), 1)
+        assert expand(LambdaScaledSource(SphericalSource((2, 0)), 3), big) == expand(
+            LambdaScaledSource(SphericalSource((2, 0)), 3), 1)
+        adelic = AdelicSetSource((0, 1, 5, 27), 3)
+        assert expand(adelic, big) == expand(adelic, 4)
+        tree = helpers.binary_tree(3)
+        assert expand(tree, big) == tree
